@@ -15,9 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .cyclotomic import CycInt, NotAUnitRoot, NotDivisible, _root_coeffs
-from .mvfunction import MvFunction, NotASign, add_constant, digits_of, sign_of, try_from_sign
-from .vctransform import Spectrum, inverse, is_flat
+import numpy as np
+
+from .cyclotomic import CycInt, NotAUnitRoot, NotDivisible
+from .mvfunction import MvFunction, add_constant, sign_of
+from .vctransform import Spectrum, _guard, flat_mask, inverse_array, root_table, transform
 
 
 class NotStrict(ValueError):
@@ -65,65 +67,32 @@ class BentVerdict:
         return json.dumps(self.to_json_dict())
 
 
-# dot-product rows ⟨w·x⟩ are shared by every spectrum over the same (p, n)
-_DOT_ROWS: dict[tuple[int, int], dict[int, tuple]] = {}
-_DIGITS: dict[tuple[int, int], list] = {}
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
-def _point_digits(p: int, n: int) -> list:
-    key = (p, n)
-    table = _DIGITS.get(key)
-    if table is None:
-        table = [digits_of(x, p, n) for x in range(p**n)]
-        _DIGITS[key] = table
-    return table
-
-
-def _dot_row(p: int, n: int, w: int) -> tuple:
-    rows = _DOT_ROWS.setdefault((p, n), {})
-    row = rows.get(w)
-    if row is None:
-        pts = _point_digits(p, n)
-        wd = pts[w]
-        row = tuple(sum(a * b for a, b in zip(wd, xd)) % p for xd in pts)
-        rows[w] = row
-    return row
-
-
-def _spectrum_entry(p: int, values, row, roots) -> CycInt:
-    # S(w) = Σ_x ξ^(f(x) - ⟨w·x⟩): tally the exponents, then one weighted sum.
-    # fx - dx lies in -(p-1)..(p-1); Python's negative indexing folds mod p.
-    counts = [0] * p
-    for fx, dx in zip(values, row):
-        counts[fx - dx] += 1
-    d = len(roots[0])
-    return CycInt(p, tuple(sum(counts[k] * roots[k][i] for k in range(p)) for i in range(d)))
+def _root_exponents(array: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, ok): array[x] is the coefficient row of +ξ^k[x] exactly where ok[x]."""
+    match = (array[..., None, :] == root_table(p)).all(axis=-1)
+    return match.argmax(axis=-1), match.any(axis=-1)
 
 
 def circular_spectrum(f: MvFunction) -> Spectrum:
     """The spectrum of ξ^f; value-identical to forward(sign_of(f))."""
-    p, n = f.p, f.n
-    roots = _root_coeffs(p)
-    entries = [
-        _spectrum_entry(p, f.values, _dot_row(p, n, w), roots) for w in range(p**n)
-    ]
-    return Spectrum(p, n, entries)
+    _guard(f.p, f.n, None)
+    sign = root_table(f.p)[np.asarray(f.values)]
+    return Spectrum.from_array(f.p, f.n, transform(sign, f.p, f.n, conjugate=True))
 
 
 def is_bent(f: MvFunction) -> BentVerdict:
     """Flat/bent/strict classification with the first flatness witness."""
-    p, n = f.p, f.n
-    roots = _root_coeffs(p)
-    target = CycInt.from_int(p, p**n)
-    entries = []
-    for w in range(p**n):
-        s = _spectrum_entry(p, f.values, _dot_row(p, n, w), roots)
-        if s.abs_squared() != target:
-            return BentVerdict(False, False, False, failure_witness=(w, s))
-        entries.append(s)
-    spectrum = Spectrum(p, n, entries)
+    s = circular_spectrum(f)
+    w = _first(~flat_mask(s.array, f.p, f.n))
+    if w is not None:
+        return BentVerdict(False, False, False, failure_witness=(w, CycInt(f.p, s.array[w])))
     try:
-        strict_exponents(spectrum)
+        strict_exponents(s)
         strict = True
     except NotStrict:
         strict = False
@@ -132,18 +101,20 @@ def is_bent(f: MvFunction) -> BentVerdict:
 
 def spectrum_is_bent(s: Spectrum) -> MvFunction:
     """Recover g with spectrum s, or raise NotBentSpectrum at the first bad stage."""
-    target = CycInt.from_int(s.p, s.p**s.n)
-    for w, e in enumerate(s.entries):
-        if e.abs_squared() != target:
-            raise NotBentSpectrum("not-flat", w, e)
+    p, n, array = s.p, s.n, s.array
+    w = _first(~flat_mask(array, p, n))
+    if w is not None:
+        raise NotBentSpectrum("not-flat", w, CycInt(p, array[w]))
+    _guard(p, n, None)
     try:
-        entries = inverse(s)
+        signs = inverse_array(array, p, n)
     except NotDivisible as exc:
         raise NotBentSpectrum("not-divisible", exc.index, exc.value) from exc
-    try:
-        return try_from_sign(entries)
-    except NotASign as exc:
-        raise NotBentSpectrum("not-a-sign", exc.index, exc.value) from exc
+    exponents, ok = _root_exponents(signs, p)
+    x = _first(~ok)
+    if x is not None:
+        raise NotBentSpectrum("not-a-sign", x, CycInt(p, signs[x]))
+    return MvFunction(p, n, exponents.tolist())
 
 
 def strict_exponents(s: Spectrum) -> tuple[int, ...]:
@@ -151,16 +122,17 @@ def strict_exponents(s: Spectrum) -> tuple[int, ...]:
     if s.n % 2:
         raise NotStrict(f"odd variable count {s.n}")
     scale = s.p ** (s.n // 2)
-    out = []
-    for w, e in enumerate(s.entries):
+    array = s.array
+    exponents, ok = _root_exponents(array // scale, s.p)
+    w = _first(~ok | (array % scale != 0).any(axis=-1))
+    if w is not None:
+        e = CycInt(s.p, array[w])
         try:
             rs = e.div_exact_int(scale).as_root_scalar()
         except (NotDivisible, NotAUnitRoot) as exc:
             raise NotStrict(f"entry {w} = {e} is not {scale}·ξ^k") from exc
-        if rs.sign != 1:
-            raise NotStrict(f"entry {w} = {e} is {scale}·(-ξ^{rs.exponent})")
-        out.append(rs.exponent)
-    return tuple(out)
+        raise NotStrict(f"entry {w} = {e} is {scale}·(-ξ^{rs.exponent})")
+    return tuple(exponents.tolist())
 
 
 def dual(f: MvFunction) -> MvFunction:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import appendix, bentlab, generator, oracle, permexpr
 from .genperm import GenPerm, apply, conjugate_by_c, gamma
@@ -18,7 +17,6 @@ from .mvfunction import MvFunction, sign_of, try_from_sign
 from .vctransform import (
     Spectrum,
     format_spectrum_lines,
-    forward,
     forward_fast,
     inverse,
     parse_spectrum_lines,
@@ -57,7 +55,7 @@ def _print_spectrum(s: Spectrum, out, pretty: bool) -> None:
 
 def cmd_spectrum(args, out) -> int:
     f = MvFunction.from_digits(args.p, args.n, args.values)
-    s = forward_fast(sign_of(f)) if args.fast else forward(sign_of(f))
+    s = forward_fast(sign_of(f))
     _print_spectrum(s, out, args.pretty)
     try:
         exps = bentlab.strict_exponents(s)
@@ -127,7 +125,7 @@ def _write_lines(lines, args, out) -> None:
 
 def cmd_enumerate(args, out) -> int:
     if args.all:
-        lines = _all_function_lines(args.jobs)
+        lines = sorted(line for c in range(1, 10) for line in _class_lines(c))
         _write_lines(lines, args, out)
         return 0
     if args.klass is None:
@@ -153,16 +151,6 @@ def _class_lines(class_id: int) -> list[str]:
     return lines
 
 
-def _all_function_lines(jobs: int) -> list[str]:
-    class_ids = list(range(1, 10))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_class_lines, class_ids))
-    else:
-        chunks = [_class_lines(c) for c in class_ids]
-    return sorted(line for chunk in chunks for line in chunk)
-
-
 def cmd_verify_appendix(args, out) -> int:
     rows = appendix.load_appendix_rows(args.fixture)
     try:
@@ -184,28 +172,11 @@ def cmd_verify_appendix(args, out) -> int:
     return 0 if passed == len(checks) else 1
 
 
-def _maiorana_q_lines(name: str) -> list[str]:
-    from itertools import product as iproduct
-
-    out = []
-    for values in iproduct(range(3), repeat=3):
-        spec = generator.MaioranaSpec(1, gamma(name), MvFunction(3, 1, values))
-        out.append(generator.maiorana(spec).digit_string())
-    return out
-
-
 def cmd_maiorana(args, out) -> int:
     if args.m != 1:
         raise UsageError("only --m 1 is enumerable")
     if args.enumerate:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                chunks = list(pool.map(_maiorana_q_lines, generator.GAMMA_NAMES))
-            functions = sorted(set(line for chunk in chunks for line in chunk))
-        else:
-            functions = sorted(
-                f.digit_string() for f in generator.maiorana_enumerate(args.m)
-            )
+        functions = sorted(f.digit_string() for f in generator.maiorana_enumerate(args.m))
         for digits in functions:
             print(digits, file=out)
         print(f"count: {len(functions)}", file=out)
@@ -223,7 +194,7 @@ def cmd_maiorana(args, out) -> int:
 
 
 def cmd_oracle(args, out) -> int:
-    functions = sorted(f.digit_string() for f in oracle.all_bent(3, 2, jobs=args.jobs))
+    functions = sorted(f.digit_string() for f in oracle.all_bent(3, 2))
     if args.emit == "tsv":
         lines = functions
     else:
@@ -347,10 +318,7 @@ def _demo_case4(out) -> None:
 
 
 def _demo_theorem4(p: int, out) -> None:
-    if p in (3, 5):
-        f = MvFunction(p, 1, list(range(p))[: p**1])
-    else:
-        f = MvFunction(p, 1, list(range(p)))
+    f = MvFunction(p, 1, range(p))
     print(f"p = {p}, f = {f.digit_string()}", file=out)
     try:
         g = bentlab.negate_classify(f)
@@ -388,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--values", required=True)
-    sp.add_argument("--fast", action="store_true")
+    sp.add_argument("--fast", action="store_true", help="accepted; the staged engine always runs")
     sp.add_argument("--pretty", action="store_true")
     sp.set_defaults(func=cmd_spectrum)
 
@@ -413,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--all", action="store_true")
     en.add_argument("--rotations", action="store_true")
     en.add_argument("--out")
-    en.add_argument("--jobs", type=int, default=1)
+    en.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     en.set_defaults(func=cmd_enumerate)
 
     va = sub.add_parser("verify-appendix", help="replay the shipped class fixture")
@@ -425,13 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     ma.add_argument("--q")
     ma.add_argument("--v")
     ma.add_argument("--enumerate", action="store_true")
-    ma.add_argument("--jobs", type=int, default=1)
+    ma.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     ma.set_defaults(func=cmd_maiorana)
 
     orc = sub.add_parser("oracle", help="exhaustive scan of all two-place functions")
     orc.add_argument("--emit", choices=("tsv", "json"), default="tsv")
     orc.add_argument("--out")
-    orc.add_argument("--jobs", type=int, default=1)
+    orc.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     orc.set_defaults(func=cmd_oracle)
 
     dm = sub.add_parser("demo", help="replay a worked case")

@@ -86,6 +86,14 @@ class CycInt:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, p: int, coeffs: tuple) -> "CycInt":
+        """From a tuple of d Python ints already known to be valid; no checks."""
+        self = object.__new__(cls)
+        self.p = p
+        self.coeffs = coeffs
+        return self
+
+    @classmethod
     def zero(cls, p: int) -> "CycInt":
         _check_radix(p)
         return cls(p, (0,) * _DEGREE[p])

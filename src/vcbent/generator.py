@@ -132,8 +132,11 @@ def generate_class(seed: MvFunction, class_id: int | None = None) -> ClassRecord
     seed itself is always reproduced by some catalog member and is listed
     first (labelled I⊗I), the remaining rows sorted by value vector.
     """
-    if not is_bent(seed).is_bent:
+    verdict = is_bent(seed)
+    if not verdict.is_bent:
         raise DegenerateSeed(f"seed {seed.digit_string()} is not bent")
+    if not verdict.is_strict_bent:
+        raise DegenerateSeed(f"seed {seed.digit_string()} is bent but not strict")
     s_seed = circular_spectrum(seed)
     found: dict[MvFunction, tuple[str, str, tuple[int, ...]]] = {}
     for entry in kron_perm_catalog():

@@ -7,62 +7,47 @@ constructive generator, so set equality between the two certifies both.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
-from .bentlab import is_bent
+import numpy as np
+
 from .mvfunction import MvFunction
+from .vctransform import flat_mask, root_table, transform
 
 # p^(p^n) candidate functions must stay enumerable at desk scale
 SCAN_GUARD = 2**20
+
+# candidates per engine call; keeps the scan's arrays under 1 MB
+SCAN_BLOCK = 1024
 
 
 class ScanTooLarge(ValueError):
     pass
 
 
-def _scan_chunk(args: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
-    p, n, start, stop = args
-    size = p**n
-    found = []
-    for code in range(start, stop):
-        values = [0] * size
-        c = code
-        for i in range(size - 1, -1, -1):
-            c, values[i] = divmod(c, p)
-        f = MvFunction(p, n, values)
-        if is_bent(f).is_bent:
-            found.append(f.values)
-    return found
-
-
 def all_bent(p: int = 3, n: int = 2, jobs: int = 1) -> set[MvFunction]:
-    """Every p-valued n-place function with a flat circular spectrum."""
+    """Every p-valued n-place function with a flat circular spectrum.
+
+    Candidates pass through the transform engine SCAN_BLOCK at a time on its
+    batch axis.  `jobs` is accepted for compatibility and ignored.
+    """
     size = p**n
     total = p**size
     if total > SCAN_GUARD:
         raise ScanTooLarge(f"{p}^{size} = {total} candidate functions exceed {SCAN_GUARD}")
-    if jobs <= 1:
-        found = _scan_chunk((p, n, 0, total))
-    else:
-        chunk = -(-total // jobs)
-        ranges = [(p, n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        found = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_scan_chunk, ranges):
-                found.extend(part)
-    return {MvFunction(p, n, values) for values in found}
+    places = p ** np.arange(size - 1, -1, -1)
+    found = set()
+    for start in range(0, total, SCAN_BLOCK):
+        values = np.arange(start, min(start + SCAN_BLOCK, total))[:, None] // places % p
+        spectra = transform(root_table(p)[values], p, n, conjugate=True)
+        for row in values[flat_mask(spectra, p, n).all(axis=-1)].tolist():
+            found.add(MvFunction(p, n, row))
+    return found
 
 
 def all_bent_1place() -> set[MvFunction]:
     """All ternary one-place functions with |S(w)|² = 3 for every w."""
-    out = set()
-    for values in product(range(3), repeat=3):
-        f = MvFunction(3, 1, values)
-        if is_bent(f).is_bent:
-            out.add(f)
-    return out
+    return all_bent(3, 1)
 
 
 @dataclass(frozen=True)

@@ -6,24 +6,29 @@ C*(n); the inverse is F = p^(-n)·C(n)·S with an explicit divisibility
 check, so a candidate spectrum that is not p^n times anything is rejected
 instead of rounded.
 
-forward() is the dense O(p^2n) reference.  forward_fast() factors the
-transform into n radix-p stages (one per base-p digit) for O(n·p^n)
-multiply-adds; both produce identical exact output.  The stage kernel runs
-on int64 numpy arrays whenever coefficient growth provably fits, and falls
-back to Python big ints otherwise.
+forward() is the dense O(p^2n) reference.  Every other spectrum in the
+package goes through transform(), which works on (..., p^n, d) integer
+arrays of power-basis coefficients: Good's factorization of C(n) into n
+stages, each one (p·d)×(p·d) integer matmul, for O(n·p^n) multiply-adds.
+It runs on int64 whenever coefficient growth provably fits, and the same
+code runs on Python ints (dtype=object) otherwise.
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycInt, NotDivisible, degree, rotate_coeffs
+from .cyclotomic import CycInt, NotDivisible, _root_coeffs, degree
 from .mvfunction import SignVector, _length_to_n, digits_of
 
 DEFAULT_SIZE_LIMIT = 3**10
+
+# int64 is used only while every intermediate value stays below this
+INT64_BOUND = 2**62
 
 
 class SizeLimitExceeded(ValueError):
@@ -43,9 +48,14 @@ def _guard(p: int, n: int, limit: int | None) -> None:
 
 
 class Spectrum:
-    """Length-p^n vector of CycInt spectral coefficients S(w)."""
+    """Length-p^n vector of CycInt spectral coefficients S(w).
 
-    __slots__ = ("p", "n", "entries")
+    Backed by CycInt entries or by a (p^n, d) coefficient array (from_array);
+    each form is built from the other on first use, and == and hash agree
+    across the two.
+    """
+
+    __slots__ = ("p", "n", "_entries", "_array")
 
     def __init__(self, p: int, n: int, entries: Iterable[CycInt]):
         entries = tuple(entries)
@@ -56,7 +66,22 @@ class Spectrum:
                 raise ValueError(f"entry {e!r} is not in Z[ξ_{p}]")
         self.p = p
         self.n = n
-        self.entries = entries
+        self._entries = entries
+        self._array = None
+
+    @classmethod
+    def from_array(cls, p: int, n: int, array: np.ndarray) -> "Spectrum":
+        """Wrap a (p^n, d) integer coefficient array, made read-only; entries are built on demand."""
+        if array.shape != (p**n, degree(p)):
+            raise ValueError(f"expected a {(p**n, degree(p))} array, got {array.shape}")
+        if array.dtype != object and not np.issubdtype(array.dtype, np.integer):
+            raise ValueError(f"expected integer coefficients, got dtype {array.dtype}")
+        self = object.__new__(cls)
+        self.p = p
+        self.n = n
+        self._entries = None
+        self._array = _frozen(array)
+        return self
 
     @classmethod
     def from_strict_exponents(cls, p: int, n: int, exponents: Sequence[int]) -> "Spectrum":
@@ -66,8 +91,21 @@ class Spectrum:
         scale = p ** (n // 2)
         return cls(p, n, (CycInt.root(p, e) * scale for e in exponents))
 
+    @property
+    def entries(self) -> tuple[CycInt, ...]:
+        if self._entries is None:
+            self._entries = tuple(_cyc_list(self.p, self._array))
+        return self._entries
+
+    @property
+    def array(self) -> np.ndarray:
+        """Read-only (p^n, d) coefficients: int64 when they fit, else Python ints."""
+        if self._array is None:
+            self._array = _rows_array([e.coeffs for e in self._entries])
+        return self._array
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.p**self.n
 
     def __iter__(self):
         return iter(self.entries)
@@ -78,7 +116,7 @@ class Spectrum:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return (self.p, self.n, self.entries) == (other.p, other.n, other.entries)
+        return (self.p, self.n) == (other.p, other.n) and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
         return hash((self.p, self.n, self.entries))
@@ -125,6 +163,13 @@ def _as_entries(vec) -> tuple[int, int, tuple[CycInt, ...]]:
     return p, _length_to_n(p, len(seq)), seq
 
 
+def _as_array(vec) -> tuple[int, int, np.ndarray]:
+    if isinstance(vec, Spectrum):
+        return vec.p, vec.n, vec.array
+    p, n, entries = _as_entries(vec)
+    return p, n, _rows_array([e.coeffs for e in entries])
+
+
 def forward(vec, limit: int | None = None) -> Spectrum:
     """S(w) = Σ_x ξ^(-⟨w·x⟩)·F(x), computed densely and exactly."""
     p, n, entries = _as_entries(vec)
@@ -145,38 +190,35 @@ def forward(vec, limit: int | None = None) -> Spectrum:
 
 
 def forward_fast(vec, limit: int | None = None) -> Spectrum:
-    """Butterfly-factored forward transform; identical output to forward()."""
-    p, n, entries = _as_entries(vec)
+    """The forward transform through the staged engine; identical output to forward()."""
+    p, n, array = _as_array(vec)
     _guard(p, n, limit)
-    rows = _apply_stages([e.coeffs for e in entries], p, n, conjugate=True)
-    return Spectrum(p, n, (CycInt(p, r) for r in rows))
+    return Spectrum.from_array(p, n, transform(array, p, n, conjugate=True))
 
 
 def inverse(vec, limit: int | None = None) -> list[CycInt]:
     """F = p^(-n)·C(n)·S with exact division; NotDivisible when S is not an image."""
-    p, n, entries = _as_entries(vec)
+    p, n, array = _as_array(vec)
     _guard(p, n, limit)
-    rows = _apply_stages([e.coeffs for e in entries], p, n, conjugate=False)
+    return _cyc_list(p, inverse_array(array, p, n))
+
+
+def inverse_array(array: np.ndarray, p: int, n: int) -> np.ndarray:
+    """p^(-n)·C(n)·S on a (p^n, d) array; NotDivisible names the first bad coordinate."""
+    rows = transform(array, p, n, conjugate=False)
     scale = p**n
-    out = []
-    for i, r in enumerate(rows):
-        value = CycInt(p, r)
-        try:
-            out.append(value.div_exact_int(scale))
-        except NotDivisible as exc:
-            raise NotDivisible(
-                f"coordinate {i} = {value} is not a multiple of {scale}",
-                index=i,
-                value=value,
-            ) from exc
-    return out
+    bad = np.flatnonzero((rows % scale != 0).any(axis=-1))
+    if bad.size:
+        i = int(bad[0])
+        value = CycInt(p, rows[i])
+        raise NotDivisible(f"coordinate {i} = {value} is not a multiple of {scale}", index=i, value=value)
+    return rows // scale
 
 
 def is_flat(vec) -> bool:
     """True iff every |S(w)|² equals p^n."""
-    p, n, entries = _as_entries(vec)
-    target = CycInt.from_int(p, p**n)
-    return all(e.abs_squared() == target for e in entries)
+    p, n, array = _as_array(vec)
+    return bool(flat_mask(array, p, n).all())
 
 
 def spectrum_kron(a: Spectrum, b: Spectrum) -> Spectrum:
@@ -186,74 +228,90 @@ def spectrum_kron(a: Spectrum, b: Spectrum) -> Spectrum:
     return Spectrum(a.p, a.n + b.n, (u * v for u in a.entries for v in b.entries))
 
 
-# -- the staged kernel ---------------------------------------------------------
-
-_STAGE_TENSORS: dict[tuple[int, bool], np.ndarray] = {}
+# -- the exact array engine ----------------------------------------------------
 
 
-def _stage_tensor(p: int, conjugate: bool) -> np.ndarray:
-    """T[i, j] = the d×d integer matrix of multiplication by ξ^(∓i·j)."""
-    key = (p, conjugate)
-    tensor = _STAGE_TENSORS.get(key)
-    if tensor is None:
-        d = degree(p)
-        tensor = np.zeros((p, p, d, d), dtype=np.int64)
-        for i in range(p):
-            for j in range(p):
-                e = (-i * j) % p if conjugate else (i * j) % p
-                for col in range(d):
-                    unit = tuple(1 if t == col else 0 for t in range(d))
-                    tensor[i, j, :, col] = rotate_coeffs(p, unit, e)
-        _STAGE_TENSORS[key] = tensor
-    return tensor
+def kernel_dtype(bound: int):
+    """int64 when `bound` caps every value the kernel forms, else object (Python ints)."""
+    return np.int64 if bound < INT64_BOUND else object
 
 
-def _apply_stages(rows: list[tuple], p: int, n: int, conjugate: bool) -> list[tuple]:
-    if n == 0:
-        return list(rows)
-    maxabs = max((abs(c) for row in rows for c in row), default=0)
-    # per stage each output coefficient is a sum of p rotations, each of
-    # which mixes at most two input coefficients: growth factor <= 2p
-    if maxabs * (2 * p) ** n < 2**62:
-        return _apply_stages_numpy(rows, p, n, conjugate)
-    return _apply_stages_python(rows, p, n, conjugate)
+def _maxabs(array: np.ndarray) -> int:
+    return max(int(array.max()), -int(array.min())) if array.size else 0
 
 
-def _apply_stages_numpy(rows: list[tuple], p: int, n: int, conjugate: bool) -> list[tuple]:
-    d = degree(p)
-    tensor = _stage_tensor(p, conjugate)
-    arr = np.array(rows, dtype=np.int64)
-    size = p**n
-    for s in range(n):
-        lead = p**s
-        trail = size // (lead * p)
-        view = arr.reshape(lead, p, trail, d)
-        arr = np.einsum("ijce,ajbe->aibc", tensor, view).reshape(size, d)
-    return [tuple(int(c) for c in row) for row in arr]
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-def _apply_stages_python(rows: list[tuple], p: int, n: int, conjugate: bool) -> list[tuple]:
-    d = degree(p)
-    exps = [[(-i * j) % p if conjugate else (i * j) % p for j in range(p)] for i in range(p)]
-    size = p**n
-    for s in range(n):
-        lead = p**s
-        trail = size // (lead * p)
-        out = list(rows)
-        for a in range(lead):
-            base = a * p * trail
-            for b in range(trail):
-                idx = [base + j * trail + b for j in range(p)]
-                spokes = [rows[i] for i in idx]
-                for i in range(p):
-                    acc = [0] * d
-                    for j in range(p):
-                        rot = rotate_coeffs(p, spokes[j], exps[i][j])
-                        for t in range(d):
-                            acc[t] += rot[t]
-                    out[idx[i]] = tuple(acc)
-        rows = out
-    return rows
+def _rows_array(rows) -> np.ndarray:
+    try:
+        return _frozen(np.array(rows, dtype=np.int64))
+    except OverflowError:
+        return _frozen(np.array(rows, dtype=object))
+
+
+def _cyc_list(p: int, array: np.ndarray) -> list[CycInt]:
+    return [CycInt._trusted(p, tuple(row)) for row in array.tolist()]
+
+
+@lru_cache(maxsize=None)
+def root_table(p: int) -> np.ndarray:
+    """Row k holds the power-basis coefficients of ξ^k."""
+    return _frozen(np.array(_root_coeffs(p), dtype=np.int64))
+
+
+@lru_cache(maxsize=None)
+def _stage_matrix(p: int, conjugate: bool) -> np.ndarray:
+    """Row j·d + b, column block i: the coefficients of ξ^(b ∓ i·j)."""
+    roots = _root_coeffs(p)
+    sign = -1 if conjugate else 1
+    rows = [
+        [c for i in range(p) for c in roots[(b + sign * i * j) % p]]
+        for j in range(p)
+        for b in range(degree(p))
+    ]
+    return _frozen(np.array(rows, dtype=np.int64))
+
+
+def transform(array: np.ndarray, p: int, n: int, conjugate: bool) -> np.ndarray:
+    """Σ_x ξ^(∓⟨w·x⟩)·array[..., x, :] for a (..., p^n, d) coefficient array.
+
+    Each of the n stages contracts the leading base-p digit with one
+    (p·d)×(p·d) matmul and moves it to the back, so after n stages the
+    digits are in order again.  Per stage an output coefficient sums p
+    rotations, each mixing at most two input coefficients, so values grow by
+    at most 2p: int64 runs while maxabs·(2p)^n < 2^62, dtype=object after.
+    An object array stays on Python ints.
+    """
+    size, d = p**n, degree(p)
+    if array.dtype != object:
+        array = array.astype(kernel_dtype(_maxabs(array) * (2 * p) ** n), copy=False)
+    stage = _stage_matrix(p, conjugate)
+    out = array.reshape(-1, size, d)
+    batch = out.shape[0]
+    for _ in range(n):
+        out = out.reshape(batch, p, size // p, d).transpose(0, 2, 1, 3).reshape(-1, p * d) @ stage
+    return out.reshape(array.shape)
+
+
+def abs_squared(array: np.ndarray, p: int) -> np.ndarray:
+    """S·conj(S) per entry of a (..., d) array; exact, like CycInt.abs_squared."""
+    roots, d = _root_coeffs(p), degree(p)
+    # conj(S) at most doubles a coefficient; the product sums d² such pairs
+    array = array.astype(kernel_dtype(2 * d * d * _maxabs(array) ** 2), copy=False)
+    conj = np.array([roots[-b % p] for b in range(d)])  # row b: conj(ξ^b)
+    outer = (array @ conj)[..., :, None] * array[..., None, :]
+    product = np.array([roots[(b + k) % p] for b in range(d) for k in range(d)])  # ξ^(b+k)
+    return outer.reshape(*array.shape[:-1], d * d) @ product
+
+
+def flat_mask(array: np.ndarray, p: int, n: int) -> np.ndarray:
+    """|S(w)|² = p^n, per entry of a (..., p^n, d) spectrum array."""
+    target = np.zeros(degree(p), dtype=np.int64)
+    target[0] = p**n
+    return (abs_squared(array, p) == target).all(axis=-1)
 
 
 # -- spectrum file format ------------------------------------------------------

@@ -17,7 +17,7 @@ from vcbent.bentlab import (
 from vcbent.cyclotomic import CycInt, xi
 from vcbent.genperm import apply, block_diag, gamma, kron
 from vcbent.mvfunction import MvFunction, sign_of
-from vcbent.vctransform import Spectrum, forward, is_flat
+from vcbent.vctransform import SizeLimitExceeded, Spectrum, forward, is_flat
 
 X1X2 = MvFunction.from_digits(3, 2, "000012021")
 W = xi(3)
@@ -158,3 +158,13 @@ def test_flatness_survives_permutation_but_bentness_may_not():
     assert is_flat(permuted)
     with pytest.raises(NotBentSpectrum):
         spectrum_is_bent(permuted)
+
+
+def test_verdict_entry_points_are_size_guarded(monkeypatch):
+    monkeypatch.setenv("BENT_SIZE_LIMIT", "9")
+    f = MvFunction.constant(3, 0, 3)
+    with pytest.raises(SizeLimitExceeded):
+        is_bent(f)
+    with pytest.raises(SizeLimitExceeded):
+        circular_spectrum(f)
+    assert is_bent(X1X2).is_bent  # 3^2 is within the limit

@@ -50,6 +50,13 @@ def test_check_command_exit_codes():
     assert json.loads(text)["witness"] == {"index": 0, "value": "9"}
 
 
+def test_check_above_size_limit_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("BENT_SIZE_LIMIT", "9")
+    code, text = run("check", "--n", "3", "--values", "0" * 27)
+    assert code == 2 and text == ""
+    assert "exceeds the size limit 9" in capsys.readouterr().err
+
+
 def test_check_malformed_exits_2():
     code, _ = run("check", "--n", "2", "--values", "00001")
     assert code == 2

@@ -73,6 +73,14 @@ def test_generate_class_rejects_non_bent_seed():
         generate_class(MvFunction.constant(3, 0, 2))
 
 
+def test_generate_class_rejects_bent_but_not_strict_seed():
+    seed = MvFunction.from_digits(3, 2, "022211211")  # 2·x1² + 2·x2²
+    verdict = is_bent(seed)
+    assert verdict.is_bent and not verdict.is_strict_bent
+    with pytest.raises(DegenerateSeed, match="not strict"):
+        generate_class(seed)
+
+
 def test_class4_contains_published_row():
     record = generate_class(reference_seed(4), 4)
     by_g = {row.g.digit_string(): row for row in record.rows}

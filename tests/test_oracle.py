@@ -1,5 +1,7 @@
 import cmath
+from itertools import product
 
+import numpy as np
 import pytest
 
 from vcbent.bentlab import circular_spectrum
@@ -97,3 +99,14 @@ def test_certify():
     assert report.missing == (one,)
     assert report.extra == ()
     assert "1 missing" in report.summary()
+
+
+@pytest.mark.parametrize("p,count", [(4, 32), (5, 100), (6, 0)])
+def test_all_bent_one_place_counts_match_float_dft(p, count):
+    found = all_bent(p, 1)
+    assert len(found) == count
+    # every candidate through an independent float DFT: S(w) = Σ_x ξ^(f(x) - w·x)
+    values = np.array(list(product(range(p), repeat=p)))
+    spectra = np.fft.fft(np.exp(2j * np.pi * values / p), axis=1)
+    flat = np.all(np.abs(np.abs(spectra) ** 2 - p) < 1e-9, axis=1)
+    assert {MvFunction(p, 1, v) for v in values[flat].tolist()} == found

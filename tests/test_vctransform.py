@@ -1,11 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcbent.cyclotomic import CycInt, NotDivisible, degree, xi
 from vcbent.mvfunction import MvFunction, add_constant, sign_of, try_from_sign
 from vcbent.vctransform import (
+    INT64_BOUND,
     SizeLimitExceeded,
     Spectrum,
     build_c,
@@ -14,9 +18,10 @@ from vcbent.vctransform import (
     forward_fast,
     inverse,
     is_flat,
+    kernel_dtype,
     parse_spectrum_lines,
     spectrum_kron,
-    _apply_stages_python,
+    transform,
 )
 
 X1X2 = MvFunction.from_digits(3, 2, "000012021")
@@ -127,8 +132,60 @@ def test_forward_fast_python_fallback_and_bigints():
     vec = [CycInt(3, (rng.randint(-(2**70), 2**70), rng.randint(-(2**70), 2**70))) for _ in range(9)]
     assert forward_fast(vec) == forward(vec)
     small = rand_vector(rng, 3, 2)
-    rows = _apply_stages_python([e.coeffs for e in small], 3, 2, conjugate=True)
+    rows = transform(np.array([e.coeffs for e in small], dtype=object), 3, 2, conjugate=True)
+    assert rows.dtype == object
     assert [CycInt(3, r) for r in rows] == list(forward(small).entries)
+
+
+# every (p, n) with n <= 4 whose dense reference stays under ~0.1 s
+SMALL_SIZES = [(p, n) for p in (3, 4, 5, 6) for n in range(1, 5) if p**n <= 125]
+
+
+@st.composite
+def coefficient_vectors(draw):
+    p, n = draw(st.sampled_from(SMALL_SIZES))
+    row = st.lists(st.integers(-50, 50), min_size=degree(p), max_size=degree(p))
+    rows = draw(st.lists(row, min_size=p**n, max_size=p**n))
+    return p, n, [CycInt(p, r) for r in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficient_vectors())
+def test_engine_equals_dense_forward_and_spectrum_forms_agree(case):
+    p, n, vec = case
+    fast, dense = forward_fast(vec), forward(vec)  # array-backed, entry-backed
+    assert fast == dense and dense == fast
+    assert hash(fast) == hash(dense)
+    as_object = Spectrum.from_array(p, n, fast.array.astype(object))
+    assert as_object == dense and hash(as_object) == hash(dense)
+    assert fast.entries == dense.entries
+    assert inverse(fast) == vec
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_int64_bound_edge_selects_kernel_and_stays_exact(data):
+    p, n = data.draw(st.sampled_from(SMALL_SIZES))
+    growth = (2 * p) ** n
+    edge = (INT64_BOUND - 1) // growth  # the largest maxabs kept on int64
+    maxabs, kernel = data.draw(st.sampled_from([(edge, np.int64), (edge + 1, object)]))
+    assert kernel_dtype(maxabs * growth) is kernel
+    signs = st.lists(st.sampled_from([-1, 0, 1]), min_size=degree(p), max_size=degree(p))
+    pattern = [[1] + [0] * (degree(p) - 1)]  # one coefficient pinned at +maxabs
+    pattern += data.draw(st.lists(signs, min_size=p**n - 1, max_size=p**n - 1))
+    rows = [[s * maxabs for s in r] for r in pattern]
+    out = transform(np.array(rows, dtype=np.int64), p, n, conjugate=True)
+    assert out.dtype == kernel
+    assert [CycInt(p, r) for r in out] == list(forward([CycInt(p, r) for r in rows]).entries)
+
+
+def test_spectrum_from_array_validates_shape_and_dtype():
+    with pytest.raises(ValueError):
+        Spectrum.from_array(3, 2, np.zeros((8, 2), dtype=np.int64))
+    with pytest.raises(ValueError):
+        Spectrum.from_array(3, 2, np.zeros((9, 2)))
+    s = Spectrum.from_array(3, 2, np.zeros((9, 2), dtype=np.int64))
+    assert s == Spectrum(3, 2, [CycInt.zero(3)] * 9) and not s.array.flags.writeable
 
 
 def test_inverse_round_trip_and_examples():
