@@ -23,7 +23,14 @@ from .vctransform import Spectrum, _guard, flat_mask, inverse_array, root_table,
 
 
 class NotStrict(ValueError):
-    """Spectrum is flat-magnitude but not p^(n/2) times pure powers of ξ."""
+    """Spectrum is flat-magnitude but not p^(n/2) times pure powers of ξ.
+
+    witness is (index, value) of the first offending entry, or None when n is odd.
+    """
+
+    def __init__(self, message: str, witness: tuple[int, CycInt] | None = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotAFunction(ValueError):
@@ -130,8 +137,8 @@ def strict_exponents(s: Spectrum) -> tuple[int, ...]:
         try:
             rs = e.div_exact_int(scale).as_root_scalar()
         except (NotDivisible, NotAUnitRoot) as exc:
-            raise NotStrict(f"entry {w} = {e} is not {scale}·ξ^k") from exc
-        raise NotStrict(f"entry {w} = {e} is {scale}·(-ξ^{rs.exponent})")
+            raise NotStrict(f"entry {w} = {e} is not {scale}·ξ^k", (w, e)) from exc
+        raise NotStrict(f"entry {w} = {e} is {scale}·(-ξ^{rs.exponent})", (w, e))
     return tuple(exponents.tolist())
 
 

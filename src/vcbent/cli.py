@@ -13,7 +13,7 @@ import sys
 
 from . import appendix, bentlab, generator, oracle, permexpr
 from .genperm import GenPerm, apply, conjugate_by_c, gamma
-from .mvfunction import MvFunction, sign_of, try_from_sign
+from .mvfunction import MvFunction, _length_to_n, sign_of, try_from_sign
 from .vctransform import (
     Spectrum,
     format_spectrum_lines,
@@ -33,14 +33,7 @@ def _pretty(text: str, enabled: bool) -> str:
 
 def _parse_function(p: int, digits: str) -> MvFunction:
     try:
-        n = 0
-        total = 1
-        while total < len(digits):
-            total *= p
-            n += 1
-        if total != len(digits):
-            raise ValueError(f"{len(digits)} digits is not a power of {p}")
-        return MvFunction.from_digits(p, n, digits)
+        return MvFunction.from_digits(p, _length_to_n(p, len(digits)), digits)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -100,6 +93,8 @@ def cmd_permute(args, out) -> int:
             spectrum = parse_spectrum_lines(fh.readlines())
     if perm.size != len(spectrum.entries):
         raise UsageError(f"permutation size {perm.size} does not match spectrum length")
+    # W first, so that a refused conjugation leaves stdout empty
+    w = conjugate_by_c(perm) if args.via == "dense" else permexpr.conjugate_expr(expr)
     permuted = apply(perm, spectrum)
     print("spectrum:", file=out)
     _print_spectrum(permuted, out, args.pretty)
@@ -109,7 +104,6 @@ def cmd_permute(args, out) -> int:
     except bentlab.NotBentSpectrum as exc:
         idx, val = exc.witness
         print(f"not-bent: {exc.stage} (index {idx}: {val})", file=out)
-    w = conjugate_by_c(perm) if args.via == "dense" else permexpr.conjugate_expr(expr)
     _render_matrix(w, out)
     return 0
 

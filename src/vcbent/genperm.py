@@ -7,9 +7,10 @@ application to a vector is O(size).  The module provides
   * the six elementary 3×3 straight permutations Γ = {I, P01, P12, N, X, XT},
   * the diagonal modulation matrices Z = diag(1, ξ, ξ², ...) and Z*,
   * Kronecker / block-diagonal / product composition and scalar rotation,
-  * conjugation W = p^(-n)·C(n)·P·C*(n), both by dense computation and by
-    the precomputed images of Γ (I↦I, N↦Z*·P12, P12↦P12, P01↦Z·P12,
-    X↦Z, XT↦Z*), which combine factor-wise over Kronecker products.
+  * conjugation W = p^(-n)·C(n)·P·C*(n), both by two passes of the
+    transform engine and by the precomputed images of Γ (I↦I, N↦Z*·P12,
+    P12↦P12, P01↦Z·P12, X↦Z, XT↦Z*), which combine factor-wise over
+    Kronecker products.
 
 Conjugating a matrix without Kronecker structure can leave the ring: the
 exact result is then roots/3-valued.  DenseCycMatrix therefore carries an
@@ -21,9 +22,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .cyclotomic import CycInt, NotAUnitRoot, NotDivisible, RadixMismatch, RootScalar
+import numpy as np
+
+from .cyclotomic import CycInt, NotAUnitRoot, NotDivisible, RadixMismatch, RootScalar, degree
 from .mvfunction import _length_to_n
-from .vctransform import Spectrum, build_c
+from .vctransform import Spectrum, _cyc_list, _guard, _rows_array, root_table, transform
 
 
 class NotFlat(ValueError):
@@ -177,12 +180,14 @@ class DenseCycMatrix:
         return DenseCycMatrix(self.p, rows, self.denom * other.denom)
 
     def add(self, other: "DenseCycMatrix") -> "DenseCycMatrix":
-        if other.size != self.size or other.denom != self.denom:
-            raise ValueError("shape/denominator mismatch")
+        if other.size != self.size:
+            raise ValueError("size mismatch")
+        denom = math.lcm(self.denom, other.denom)
+        ka, kb = denom // self.denom, denom // other.denom
         rows = [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
+            [a * ka + b * kb for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
         ]
-        return DenseCycMatrix(self.p, rows, self.denom)
+        return DenseCycMatrix(self.p, rows, denom)
 
     def scale_root(self, s: RootScalar) -> "DenseCycMatrix":
         rows = [[s.apply(cell) for cell in row] for row in self.rows]
@@ -306,39 +311,33 @@ def apply(m, vec):
 
 # -- conjugation ---------------------------------------------------------------
 
-_C_ROWS_CACHE: dict[tuple[int, int], tuple] = {}
 
-
-def _c_rows(p: int, n: int) -> tuple:
-    key = (p, n)
-    rows = _C_ROWS_CACHE.get(key)
-    if rows is None:
-        rows = build_c(p, n).rows
-        _C_ROWS_CACHE[key] = rows
-    return rows
+def _numerator_array(m) -> np.ndarray:
+    """m's numerator as a (size, size, d) coefficient array."""
+    if isinstance(m, DenseCycMatrix):
+        return _rows_array([[cell.coeffs for cell in row] for row in m.rows])
+    num = np.zeros((m.size, m.size, degree(m.p)), dtype=np.int64)
+    signs = np.array([s.sign for s in m.scalars])
+    exponents = [s.exponent for s in m.scalars]
+    num[np.arange(m.size), m.cols] = signs[:, None] * root_table(m.p)[exponents]
+    return num
 
 
 def conjugate_by_c(m) -> "GenPerm | DenseCycMatrix":
-    """W = p^(-n)·C(n)·m·C*(n), exact; returned as GenPerm when it is one."""
+    """W = p^(-n)·C(n)·m·C*(n), exact; returned as GenPerm when it is one.
+
+    Two batched passes of the transform engine: C·m transforms every
+    column of m, and (C·m)·C* transforms every row, because C* is symmetric.
+    W holds p^2n entries, so the size guard is applied to p^2n.
+    """
     p = m.p
-    size = m.size
-    n = _length_to_n(p, size)
-    c = _c_rows(p, n)
-    if isinstance(m, GenPerm):
-        # C·P permutes/rotates the columns of C: (C·P)[i, cols[r]] = C[i, r]·s_r
-        cp = [[None] * size for _ in range(size)]
-        for r, (col, s) in enumerate(zip(m.cols, m.scalars)):
-            for i in range(size):
-                cp[i][col] = s.apply(c[i][r])
-        denom_in = 1
-    else:
-        cp = [[_dot(row, col, p) for col in zip(*m.rows)] for row in c]
-        denom_in = m.denom
-    # right-multiply by C*: entry (i, j) = Σ_k cp[i][k]·conj(C[k][j])
-    cstar_cols = [[c[k][j].conj() for k in range(size)] for j in range(size)]
-    out = [[_dot(cp[i], cstar_cols[j], p) for j in range(size)] for i in range(size)]
-    dense = DenseCycMatrix(p, out, denom=p**n * denom_in)
-    return _downcast(dense)
+    n = _length_to_n(p, m.size)
+    _guard(p, 2 * n, None)
+    num = _numerator_array(m)
+    cm = transform(num.swapaxes(0, 1), p, n, conjugate=False).swapaxes(0, 1)
+    rows = [_cyc_list(p, row) for row in transform(cm, p, n, conjugate=True)]
+    denom = p**n * (m.denom if isinstance(m, DenseCycMatrix) else 1)
+    return _downcast(DenseCycMatrix(p, rows, denom=denom))
 
 
 def _downcast(dense: DenseCycMatrix) -> "GenPerm | DenseCycMatrix":
@@ -406,9 +405,9 @@ def c_diag_c_component(index: int) -> DenseCycMatrix:
     """3^(-1)·C(1)·diag(e_index)·C*(1): the reusable block-diagonal pieces."""
     if index not in (0, 1, 2):
         raise ValueError("index must be 0, 1 or 2")
-    c = _c_rows(3, 1)
-    rows = [[c[i][index] * c[j][index].conj() for j in range(3)] for i in range(3)]
-    return DenseCycMatrix(3, rows, denom=3)
+    zero, one = CycInt.zero(3), CycInt.one(3)
+    selector = [[one if i == j == index else zero for j in range(3)] for i in range(3)]
+    return conjugate_by_c(DenseCycMatrix(3, selector))
 
 
 def conjugate_blockdiag(blocks: Sequence[GenPerm]) -> "GenPerm | DenseCycMatrix":
@@ -416,33 +415,15 @@ def conjugate_blockdiag(blocks: Sequence[GenPerm]) -> "GenPerm | DenseCycMatrix"
 
     With the block index on the high base-3 digit,
     blockdiag(B0, B1, B2) = Σ_i diag(e_i) ⊗ B_i, so
-    W(2) = Σ_i (3^(-1)·C·diag(e_i)·C*) ⊗ (3^(-1)·C·B_i·C*),
-    computed as integer numerators over the common denominator 9.  The
-    reusable selector conjugates C·diag(e_i)·C* are the rank-one matrices
-    exposed as c_diag_c_component().  (For diagonal blocks the two factor
-    orders describe the same matrix; the asymmetric cases fix this one.)
+    W(2) = Σ_i (3^(-1)·C·diag(e_i)·C*) ⊗ (3^(-1)·C·B_i·C*).
+    The selector conjugates are the rank-one matrices exposed as
+    c_diag_c_component().  (For diagonal blocks the two factor orders
+    describe the same matrix; the asymmetric cases fix this one.)
     """
     if len(blocks) != 3 or any(b.size != 3 or b.p != 3 for b in blocks):
         raise ValueError("expected exactly 3 generalized permutations of size 3 (p=3)")
-    c = _c_rows(3, 1)
     total = None
     for i, blk in enumerate(blocks):
-        selector = DenseCycMatrix(
-            3, [[c[a][i] * c[b][i].conj() for b in range(3)] for a in range(3)]
-        )
-        right = _conjugate_numerator_3(blk, c)  # C·B_i·C*, denominator 3 implied
-        term = selector.kron(DenseCycMatrix(3, right.rows))
+        term = c_diag_c_component(i).kron(as_dense(conjugate_by_c(blk)))
         total = term if total is None else total.add(term)
-    return _downcast(DenseCycMatrix(3, total.rows, denom=9 * total.denom))
-
-
-def _conjugate_numerator_3(blk: GenPerm, c) -> DenseCycMatrix:
-    cp = [[None] * 3 for _ in range(3)]
-    for r, (col, s) in enumerate(zip(blk.cols, blk.scalars)):
-        for i in range(3):
-            cp[i][col] = s.apply(c[i][r])
-    rows = [
-        [_dot(cp[i], [c[k][j].conj() for k in range(3)], 3) for j in range(3)]
-        for i in range(3)
-    ]
-    return DenseCycMatrix(3, rows)
+    return _downcast(total)

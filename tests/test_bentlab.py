@@ -121,6 +121,17 @@ def test_strict_exponents_examples():
         strict_exponents(circular_spectrum(MvFunction.from_digits(3, 1, "011")))
 
 
+def test_not_strict_carries_first_witness():
+    seed = MvFunction.from_digits(3, 2, "022211211")  # bent, S(0) = -3
+    with pytest.raises(NotStrict) as err:
+        strict_exponents(circular_spectrum(seed))
+    assert err.value.witness == (0, CycInt(3, (-3, 0)))
+    assert str(err.value) == "entry 0 = -3 is 3·(-ξ^0)"
+    with pytest.raises(NotStrict) as err:
+        strict_exponents(circular_spectrum(MvFunction.from_digits(3, 1, "011")))
+    assert err.value.witness is None
+
+
 def test_dual_examples():
     assert dual(X1X2) == MvFunction.from_digits(3, 2, "000021012")
     assert is_bent(dual(dual(X1X2))).is_bent

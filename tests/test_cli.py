@@ -92,6 +92,22 @@ def test_permute_via_routes_identical():
         assert dense == table
 
 
+def test_permute_dense_is_guarded_by_its_p_2n_cost(monkeypatch, capsys):
+    # W = C·P·C* has p^2n = 81 entries for kron(N,N); the spectrum itself has 9
+    monkeypatch.setenv("BENT_SIZE_LIMIT", "80")
+    args = ("permute", "--expr", "kron(N,N)", "--function", "000012021", "--via")
+    code, text = run(*args, "dense")
+    assert code == 2 and text == ""
+    assert "exceeds the size limit 80" in capsys.readouterr().err
+    code, text = run(*args, "table")
+    assert code == 0 and "g: 021222120" in text
+
+
+def test_permute_function_length_not_a_power_exits_2():
+    code, text = run("permute", "--expr", "kron(N,N)", "--function", "00001")
+    assert code == 2 and text == ""
+
+
 def test_permute_spectrum_file(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("3 2\nexp:000021012\n")

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vcbent.bentlab import circular_spectrum
-from vcbent.cyclotomic import CycInt, RootScalar, xi
+from vcbent.cyclotomic import CycInt, RootScalar, degree, xi
 from vcbent.genperm import (
     DenseCycMatrix,
     GAMMA_NAMES,
@@ -211,6 +213,62 @@ def test_conjugate_blockdiag():
     comp = c_diag_c_component(1)
     assert comp.denom == 3
     assert [list(r) for r in comp.rows] == [[ONE, W2, W], [W, ONE, W2], [W2, W, ONE]]
+
+
+# (p, n) with p^n ≤ 27: the reference below is an O(p^3n) CycInt loop
+CONJ_SIZES = [(p, n) for p in (3, 4, 5, 6) for n in (1, 2, 3) if p**n <= 27]
+
+
+def reference_conjugate(m) -> DenseCycMatrix:
+    """p^(-n)·C·m·C*, multiplied out entry by entry over build_c's rows."""
+    m = as_dense(m)
+    p, size = m.p, m.size
+    n = next(n for n in range(size) if p**n == size)
+    c = build_c(p, n).rows
+    cm = [[CycInt.zero(p)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            for k in range(size):
+                cm[i][j] = cm[i][j] + c[i][k] * m.rows[k][j]
+    out = [[CycInt.zero(p)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            for k in range(size):
+                out[i][j] = out[i][j] + cm[i][k] * c[k][j].conj()
+    return DenseCycMatrix(p, out, denom=p**n * m.denom)
+
+
+@st.composite
+def generalized_permutations(draw):
+    p, n = draw(st.sampled_from(CONJ_SIZES))
+    size = p**n
+    cols = draw(st.permutations(range(size)))
+    scalar = st.builds(RootScalar, st.just(p), st.sampled_from([1, -1]), st.integers(0, p - 1))
+    return GenPerm(p, cols, draw(st.lists(scalar, min_size=size, max_size=size)))
+
+
+@st.composite
+def dense_fractions(draw):
+    p, n = draw(st.sampled_from(CONJ_SIZES))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [
+        [CycInt(p, [rng.randint(-20, 20) for _ in range(degree(p))]) for _ in range(p**n)]
+        for _ in range(p**n)
+    ]
+    return DenseCycMatrix(p, rows, denom=draw(st.integers(2, 12)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(generalized_permutations())
+def test_conjugate_by_c_matches_reference_on_generalized_permutations(m):
+    assert as_dense(conjugate_by_c(m)) == reference_conjugate(m)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dense_fractions())
+def test_conjugate_by_c_matches_reference_on_dense_fractions(m):
+    assume(m.denom > 1)
+    assert as_dense(conjugate_by_c(m)) == reference_conjugate(m)
 
 
 def test_is_generalized_permutation():
