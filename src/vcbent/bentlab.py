@@ -19,7 +19,7 @@ import numpy as np
 
 from .cyclotomic import CycInt, NotAUnitRoot, NotDivisible
 from .mvfunction import MvFunction, add_constant, sign_of
-from .vctransform import Spectrum, _guard, flat_mask, inverse_array, root_table, transform
+from .vctransform import Spectrum, _guard, _root_exponents, flat_mask, inverse_array, root_table, transform
 
 
 class NotStrict(ValueError):
@@ -77,12 +77,6 @@ class BentVerdict:
 def _first(mask: np.ndarray) -> int | None:
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
-
-
-def _root_exponents(array: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k, ok): array[x] is the coefficient row of +ξ^k[x] exactly where ok[x]."""
-    match = (array[..., None, :] == root_table(p)).all(axis=-1)
-    return match.argmax(axis=-1), match.any(axis=-1)
 
 
 def circular_spectrum(f: MvFunction) -> Spectrum:

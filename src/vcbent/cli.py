@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import appendix, bentlab, generator, oracle, permexpr
-from .genperm import GenPerm, apply, conjugate_by_c, gamma
+from .genperm import apply, as_dense, conjugate_by_c, gamma
 from .mvfunction import MvFunction, _length_to_n, sign_of, try_from_sign
 from .vctransform import (
     Spectrum,
@@ -66,12 +66,9 @@ def cmd_check(args, out) -> int:
 
 
 def _render_matrix(w, out) -> None:
-    if isinstance(w, GenPerm):
-        dense = w.to_dense()
-    else:
-        dense = w
-    if dense.size > 9:
+    if w.size > 9:
         return
+    dense = as_dense(w)
     print("W:", file=out)
     if dense.denom != 1:
         print(f"scale: 1/{dense.denom}", file=out)

@@ -30,7 +30,7 @@ from .vctransform import SizeLimitExceeded, Spectrum, spectrum_kron
 
 
 class DegenerateSeed(ValueError):
-    """Seed did not produce the expected 18 distinct primitives."""
+    """Seed is not bent, not strict, or did not produce the expected 18 distinct primitives."""
 
 
 class _Seed(NamedTuple):

@@ -13,8 +13,9 @@ application to a vector is O(size).  The module provides
     Kronecker products.
 
 Conjugating a matrix without Kronecker structure can leave the ring: the
-exact result is then roots/3-valued.  DenseCycMatrix therefore carries an
-integer numerator matrix plus a positive denominator, normalized by content.
+exact result is then roots/3-valued.  DenseCycMatrix therefore carries a
+(size, size, d) integer numerator array plus a positive denominator,
+normalized by content; its products are vctransform.mul_array calls.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ import numpy as np
 
 from .cyclotomic import CycInt, NotAUnitRoot, NotDivisible, RadixMismatch, RootScalar, degree
 from .mvfunction import _length_to_n
-from .vctransform import Spectrum, _cyc_list, _guard, _rows_array, root_table, transform
+from .vctransform import (
+    Spectrum, _as_array, _check_coefficients, _cyc_list, _frozen, _guard, _maxabs, _root_exponents,
+    _rows_array, divide_exact, kernel_dtype, mul_array, root_table, transform,
+)
 
 
 class NotFlat(ValueError):
@@ -83,13 +87,11 @@ class GenPerm:
         return [s.apply(seq[c]) for c, s in zip(self.cols, self.scalars)]
 
     def to_dense(self) -> "DenseCycMatrix":
-        zero = CycInt.zero(self.p)
-        rows = []
-        for c, s in zip(self.cols, self.scalars):
-            row = [zero] * self.size
-            row[c] = s.to_cyc()
-            rows.append(row)
-        return DenseCycMatrix(self.p, rows)
+        num = np.zeros((self.size, self.size, degree(self.p)), dtype=np.int64)
+        signs = np.array([s.sign for s in self.scalars])
+        exponents = [s.exponent for s in self.scalars]
+        num[np.arange(self.size), list(self.cols)] = signs[:, None] * root_table(self.p)[exponents]
+        return DenseCycMatrix.from_array(self.p, num)
 
     def is_straight(self) -> bool:
         return all(s.is_one for s in self.scalars)
@@ -110,9 +112,13 @@ class GenPerm:
 
 
 class DenseCycMatrix:
-    """numerator/denominator matrix over Z[ξ_p]; denominator content-reduced."""
+    """numerator/denominator matrix over Z[ξ_p]; denominator content-reduced.
 
-    __slots__ = ("p", "rows", "denom")
+    num is a read-only (size, size, d) coefficient array and rows its CycInt
+    view, built on first use; == and hash do not depend on num's dtype.
+    """
+
+    __slots__ = ("p", "num", "denom", "_rows")
 
     def __init__(self, p: int, rows, denom: int = 1):
         rows = tuple(tuple(cell for cell in row) for row in rows)
@@ -123,96 +129,95 @@ class DenseCycMatrix:
             for cell in row:
                 if not isinstance(cell, CycInt) or cell.p != p:
                     raise RadixMismatch(f"entry {cell!r} not in Z[ξ_{p}]")
+        num = _rows_array([[cell.coeffs for cell in row] for row in rows])
+        self._set(p, num.reshape(size, size, degree(p)), denom)
+
+    @classmethod
+    def from_array(cls, p: int, num: np.ndarray, denom: int = 1) -> "DenseCycMatrix":
+        """Wrap a (size, size, d) integer numerator array, made read-only."""
+        size = num.shape[0] if num.ndim else 0
+        _check_coefficients(num, (size, size, degree(p)))
+        self = object.__new__(cls)
+        self._set(p, num, denom)
+        return self
+
+    def _set(self, p: int, num: np.ndarray, denom: int) -> None:
         if denom == 0:
             raise ValueError("zero denominator")
         if denom < 0:
-            rows = tuple(tuple(-cell for cell in row) for row in rows)
-            denom = -denom
-        content = 0
-        for row in rows:
-            for cell in row:
-                for c in cell.coeffs:
-                    content = math.gcd(content, c)
-        g = math.gcd(content, denom)
+            num, denom = -num, -denom
+        g = math.gcd(int(np.gcd.reduce(num, axis=None)), denom)
         if g > 1:
-            rows = tuple(tuple(cell.div_exact_int(g) for cell in row) for row in rows)
-            denom //= g
+            num, denom = num // g, denom // g
         self.p = p
-        self.rows = rows
+        self.num = _frozen(num)
         self.denom = denom
+        self._rows = None
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return self.num.shape[0]
+
+    @property
+    def rows(self) -> tuple[tuple[CycInt, ...], ...]:
+        if self._rows is None:
+            self._rows = tuple(tuple(_cyc_list(self.p, row)) for row in self.num)
+        return self._rows
 
     def apply(self, vec):
-        """Exact matrix-vector product; NotDivisible if the 1/denom scale fails."""
-        if isinstance(vec, Spectrum):
-            return Spectrum(vec.p, vec.n, self.apply(vec.entries))
-        seq = tuple(vec)
-        if len(seq) != self.size:
-            raise ValueError(f"size mismatch: {self.size} vs {len(seq)}")
-        out = []
-        for row in self.rows:
-            acc = CycInt.zero(self.p)
-            for cell, v in zip(row, seq):
-                if cell:
-                    acc = acc + cell * v
-            out.append(acc if self.denom == 1 else acc.div_exact_int(self.denom))
-        return out
+        """Exact matrix-vector product; NotDivisible names where the 1/denom scale is inexact."""
+        p, n, array = _as_array(vec)
+        if p != self.p:
+            raise RadixMismatch(f"radix mismatch: {self.p} vs {p}")
+        if len(array) != self.size:
+            raise ValueError(f"size mismatch: {self.size} vs {len(array)}")
+        out = mul_array(self.num, array, p, "ijb,jc->ibc", terms=self.size)
+        if self.denom != 1:
+            out = divide_exact(out, self.denom, p)
+        return Spectrum.from_array(p, n, out) if isinstance(vec, Spectrum) else _cyc_list(p, out)
 
     def matmul(self, other: "DenseCycMatrix") -> "DenseCycMatrix":
-        if other.size != self.size:
-            raise ValueError("size mismatch")
-        cols = list(zip(*other.rows))
-        rows = [
-            [_dot(row, col, self.p) for col in cols]
-            for row in self.rows
-        ]
-        return DenseCycMatrix(self.p, rows, self.denom * other.denom)
+        self._check(other)
+        num = mul_array(self.num, other.num, self.p, "ikb,kjc->ijbc", terms=self.size)
+        return DenseCycMatrix.from_array(self.p, num, self.denom * other.denom)
 
     def kron(self, other: "DenseCycMatrix") -> "DenseCycMatrix":
-        rows = [
-            [a * b for a in arow for b in brow]
-            for arow in self.rows
-            for brow in other.rows
-        ]
-        return DenseCycMatrix(self.p, rows, self.denom * other.denom)
+        if other.p != self.p:
+            raise RadixMismatch(f"radix mismatch: {self.p} vs {other.p}")
+        size = self.size * other.size
+        num = mul_array(self.num, other.num, self.p, "ijb,klc->ikjlbc")
+        return DenseCycMatrix.from_array(self.p, num.reshape(size, size, -1), self.denom * other.denom)
 
     def add(self, other: "DenseCycMatrix") -> "DenseCycMatrix":
-        if other.size != self.size:
-            raise ValueError("size mismatch")
+        self._check(other)
         denom = math.lcm(self.denom, other.denom)
         ka, kb = denom // self.denom, denom // other.denom
-        rows = [
-            [a * ka + b * kb for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ]
-        return DenseCycMatrix(self.p, rows, denom)
+        dtype = kernel_dtype(ka * _maxabs(self.num) + kb * _maxabs(other.num))
+        num = self.num.astype(dtype) * ka + other.num.astype(dtype) * kb
+        return DenseCycMatrix.from_array(self.p, num, denom)
 
     def scale_root(self, s: RootScalar) -> "DenseCycMatrix":
-        rows = [[s.apply(cell) for cell in row] for row in self.rows]
-        return DenseCycMatrix(self.p, rows, self.denom)
+        root = s.sign * root_table(self.p)[s.exponent]
+        return DenseCycMatrix.from_array(self.p, mul_array(self.num, root, self.p), self.denom)
+
+    def _check(self, other: "DenseCycMatrix") -> None:
+        if other.p != self.p:
+            raise RadixMismatch(f"radix mismatch: {self.p} vs {other.p}")
+        if other.size != self.size:
+            raise ValueError("size mismatch")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseCycMatrix):
             return NotImplemented
-        return (self.p, self.rows, self.denom) == (other.p, other.rows, other.denom)
+        return (self.p, self.denom) == (other.p, other.denom) and np.array_equal(self.num, other.num)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.rows, self.denom))
+        return hash((self.p, self.denom, self.num.shape, tuple(self.num.ravel().tolist())))
 
     def __repr__(self) -> str:
         scale = "" if self.denom == 1 else f" / {self.denom}"
         body = "; ".join(" ".join(str(c) for c in row) for row in self.rows)
         return f"DenseCycMatrix({self.p}, [{body}]{scale})"
-
-
-def _dot(row, col, p) -> CycInt:
-    acc = CycInt.zero(p)
-    for a, b in zip(row, col):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 def as_dense(m) -> DenseCycMatrix:
@@ -312,17 +317,6 @@ def apply(m, vec):
 # -- conjugation ---------------------------------------------------------------
 
 
-def _numerator_array(m) -> np.ndarray:
-    """m's numerator as a (size, size, d) coefficient array."""
-    if isinstance(m, DenseCycMatrix):
-        return _rows_array([[cell.coeffs for cell in row] for row in m.rows])
-    num = np.zeros((m.size, m.size, degree(m.p)), dtype=np.int64)
-    signs = np.array([s.sign for s in m.scalars])
-    exponents = [s.exponent for s in m.scalars]
-    num[np.arange(m.size), m.cols] = signs[:, None] * root_table(m.p)[exponents]
-    return num
-
-
 def conjugate_by_c(m) -> "GenPerm | DenseCycMatrix":
     """W = p^(-n)·C(n)·m·C*(n), exact; returned as GenPerm when it is one.
 
@@ -333,48 +327,31 @@ def conjugate_by_c(m) -> "GenPerm | DenseCycMatrix":
     p = m.p
     n = _length_to_n(p, m.size)
     _guard(p, 2 * n, None)
-    num = _numerator_array(m)
-    cm = transform(num.swapaxes(0, 1), p, n, conjugate=False).swapaxes(0, 1)
-    rows = [_cyc_list(p, row) for row in transform(cm, p, n, conjugate=True)]
-    denom = p**n * (m.denom if isinstance(m, DenseCycMatrix) else 1)
-    return _downcast(DenseCycMatrix(p, rows, denom=denom))
+    dense = as_dense(m)
+    cm = transform(dense.num.swapaxes(0, 1), p, n, conjugate=False).swapaxes(0, 1)
+    w = transform(cm, p, n, conjugate=True)
+    return _downcast(DenseCycMatrix.from_array(p, w, p**n * dense.denom))
 
 
 def _downcast(dense: DenseCycMatrix) -> "GenPerm | DenseCycMatrix":
-    perm = _try_genperm(dense)
-    return perm if perm is not None else dense
-
-
-def _try_genperm(dense: DenseCycMatrix) -> GenPerm | None:
-    if dense.denom != 1:
-        return None
-    size = dense.size
-    cols = []
-    scalars = []
-    seen = set()
-    for row in dense.rows:
-        hit = None
-        for j, cell in enumerate(row):
-            if cell:
-                if hit is not None:
-                    return None
-                hit = j
-        if hit is None or hit in seen:
-            return None
-        try:
-            scalars.append(row[hit].as_root_scalar())
-        except NotAUnitRoot:
-            return None
-        seen.add(hit)
-        cols.append(hit)
-    return GenPerm(dense.p, cols, scalars)
+    """dense as a GenPerm when it has one ±ξ^k per row and column and nothing else."""
+    nonzero = (dense.num != 0).any(axis=-1)
+    if dense.denom != 1 or (nonzero.sum(axis=0) != 1).any() or (nonzero.sum(axis=1) != 1).any():
+        return dense
+    cols = nonzero.argmax(axis=1)
+    cells = dense.num[np.arange(dense.size), cols]
+    # +ξ^k first, as CycInt.as_root_scalar prefers sign +1 where both fit (even p)
+    plus, is_plus = _root_exponents(cells, dense.p)
+    minus, is_minus = _root_exponents(-cells, dense.p)
+    if not (is_plus | is_minus).all():
+        return dense
+    signs, exponents = np.where(is_plus, 1, -1).tolist(), np.where(is_plus, plus, minus).tolist()
+    return GenPerm(dense.p, cols.tolist(), [RootScalar(dense.p, s, k) for s, k in zip(signs, exponents)])
 
 
 def is_generalized_permutation(m) -> bool:
     """One ±ξ^k nonzero per row and column, nothing else."""
-    if isinstance(m, GenPerm):
-        return True
-    return _try_genperm(m) is not None
+    return isinstance(m, GenPerm) or isinstance(_downcast(m), GenPerm)
 
 
 _CONJUGATE_TABLE: dict[str, GenPerm] | None = None
@@ -405,9 +382,9 @@ def c_diag_c_component(index: int) -> DenseCycMatrix:
     """3^(-1)·C(1)·diag(e_index)·C*(1): the reusable block-diagonal pieces."""
     if index not in (0, 1, 2):
         raise ValueError("index must be 0, 1 or 2")
-    zero, one = CycInt.zero(3), CycInt.one(3)
-    selector = [[one if i == j == index else zero for j in range(3)] for i in range(3)]
-    return conjugate_by_c(DenseCycMatrix(3, selector))
+    selector = np.zeros((3, 3, degree(3)), dtype=np.int64)
+    selector[index, index, 0] = 1
+    return conjugate_by_c(DenseCycMatrix.from_array(3, selector))
 
 
 def conjugate_blockdiag(blocks: Sequence[GenPerm]) -> "GenPerm | DenseCycMatrix":

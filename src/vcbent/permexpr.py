@@ -9,7 +9,9 @@ parse() builds an AST, evaluate() turns it into a GenPerm, render() is the
 canonical writer (parse ∘ render ∘ parse is the identity), and
 conjugate_expr() computes W = p^(-n)·C·P·C* structurally: atom images come
 from the conjugation table, Kronecker/product/rotation nodes combine
-factor-wise, and block-diagonal nodes use the additive decomposition.
+factor-wise, and block-diagonal nodes use the additive decomposition.  A
+node whose W turns dense is refused, like conjugate_by_c, when its p^2n
+entries exceed the size guard.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .genperm import (
     scale,
     _downcast,
 )
+from .mvfunction import _length_to_n
+from .vctransform import _guard
 
 ATOM_NAMES = ("I", "P01", "P12", "N", "X", "XT", "Z", "Zc")
 
@@ -259,18 +263,16 @@ def conjugate_expr(node: Expr) -> "GenPerm | DenseCycMatrix":
         child = conjugate_expr(node.child)
         s = RootScalar(3, node.sign, node.k)
         return scale(child, s) if isinstance(child, GenPerm) else child.scale_root(s)
-    if isinstance(node, Kron):
-        left = conjugate_expr(node.left)
-        right = conjugate_expr(node.right)
+    if isinstance(node, (Kron, Compose)):
+        left, right = conjugate_expr(node.left), conjugate_expr(node.right)
+        is_kron = isinstance(node, Kron)
         if isinstance(left, GenPerm) and isinstance(right, GenPerm):
-            return kron(left, right)
-        return _downcast(as_dense(left).kron(as_dense(right)))
-    if isinstance(node, Compose):
-        left = conjugate_expr(node.left)
-        right = conjugate_expr(node.right)
-        if isinstance(left, GenPerm) and isinstance(right, GenPerm):
-            return compose(left, right)
-        return _downcast(as_dense(left).matmul(as_dense(right)))
+            return kron(left, right) if is_kron else compose(left, right)
+        # a dense side makes W dense, with size² entries: guard them before they are built
+        size = left.size * right.size if is_kron else left.size
+        _guard(3, 2 * _length_to_n(3, size), None)
+        left, right = as_dense(left), as_dense(right)
+        return _downcast(left.kron(right) if is_kron else left.matmul(right))
     if isinstance(node, BlockDiag):
         return conjugate_blockdiag([evaluate(i) for i in node.items])
     if isinstance(node, Diag):

@@ -6,11 +6,12 @@ C*(n); the inverse is F = p^(-n)·C(n)·S with an explicit divisibility
 check, so a candidate spectrum that is not p^n times anything is rejected
 instead of rounded.
 
-forward() is the dense O(p^2n) reference.  Every other spectrum in the
-package goes through transform(), which works on (..., p^n, d) integer
-arrays of power-basis coefficients: Good's factorization of C(n) into n
-stages, each one (p·d)×(p·d) integer matmul, for O(n·p^n) multiply-adds.
-It runs on int64 whenever coefficient growth provably fits, and the same
+Every spectrum in the package goes through transform(), which works on
+(..., p^n, d) integer arrays of power-basis coefficients: Good's
+factorization of C(n) into n stages, each one (p·d)×(p·d) integer matmul,
+for O(n·p^n) multiply-adds.  mul_array() is the ring product on the same
+arrays, and forward() the dense O(p^2n) reference, one mul_array per output.
+Both run on int64 whenever coefficient growth provably fits, and the same
 code runs on Python ints (dtype=object) otherwise.
 """
 
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycInt, NotDivisible, _root_coeffs, degree
+from .cyclotomic import CycInt, NotDivisible, _conj_basis, _root_coeffs, degree
 from .mvfunction import SignVector, _length_to_n, digits_of
 
 DEFAULT_SIZE_LIMIT = 3**10
@@ -72,10 +73,7 @@ class Spectrum:
     @classmethod
     def from_array(cls, p: int, n: int, array: np.ndarray) -> "Spectrum":
         """Wrap a (p^n, d) integer coefficient array, made read-only; entries are built on demand."""
-        if array.shape != (p**n, degree(p)):
-            raise ValueError(f"expected a {(p**n, degree(p))} array, got {array.shape}")
-        if array.dtype != object and not np.issubdtype(array.dtype, np.integer):
-            raise ValueError(f"expected integer coefficients, got dtype {array.dtype}")
+        _check_coefficients(array, (p**n, degree(p)))
         self = object.__new__(cls)
         self.p = p
         self.n = n
@@ -153,40 +151,29 @@ def build_c(p: int, n: int, limit: int | None = None) -> VCMatrix:
     return VCMatrix(p, n, rows)
 
 
-def _as_entries(vec) -> tuple[int, int, tuple[CycInt, ...]]:
-    if isinstance(vec, (Spectrum, SignVector)):
-        return vec.p, vec.n, tuple(vec.entries)
-    seq = tuple(vec)
-    if not seq:
-        raise ValueError("empty vector")
-    p = seq[0].p
-    return p, _length_to_n(p, len(seq)), seq
-
-
 def _as_array(vec) -> tuple[int, int, np.ndarray]:
     if isinstance(vec, Spectrum):
         return vec.p, vec.n, vec.array
-    p, n, entries = _as_entries(vec)
-    return p, n, _rows_array([e.coeffs for e in entries])
+    entries = tuple(vec.entries if isinstance(vec, SignVector) else vec)
+    if not entries:
+        raise ValueError("empty vector")
+    p = entries[0].p
+    return p, _length_to_n(p, len(entries)), _rows_array([e.coeffs for e in entries])
 
 
 def forward(vec, limit: int | None = None) -> Spectrum:
-    """S(w) = Σ_x ξ^(-⟨w·x⟩)·F(x), computed densely and exactly."""
-    p, n, entries = _as_entries(vec)
+    """S(w) = Σ_x ξ^(-⟨w·x⟩)·F(x), computed densely and exactly.
+
+    The O(p^2n) reference: one ring product of F with the row ξ^(-⟨w·x⟩)
+    per output w, so its extra memory stays O(p^n).
+    """
+    p, n, array = _as_array(vec)
     _guard(p, n, limit)
     size = p**n
-    point_digits = [digits_of(x, p, n) for x in range(size)]
-    out = []
-    for w in range(size):
-        wd = point_digits[w]
-        acc = CycInt.zero(p)
-        for xd, fx in zip(point_digits, entries):
-            dot = 0
-            for a, b in zip(wd, xd):
-                dot += a * b
-            acc = acc + fx.mul_root(-dot)
-        out.append(acc)
-    return Spectrum(p, n, out)
+    digits = np.array([digits_of(x, p, n) for x in range(size)], dtype=np.int64).reshape(size, n)
+    roots = root_table(p)
+    rows = [mul_array(roots[-(digits @ wd) % p], array, p, terms=size).sum(axis=0) for wd in digits]
+    return Spectrum(p, n, _cyc_list(p, np.stack(rows)))
 
 
 def forward_fast(vec, limit: int | None = None) -> Spectrum:
@@ -205,14 +192,17 @@ def inverse(vec, limit: int | None = None) -> list[CycInt]:
 
 def inverse_array(array: np.ndarray, p: int, n: int) -> np.ndarray:
     """p^(-n)·C(n)·S on a (p^n, d) array; NotDivisible names the first bad coordinate."""
-    rows = transform(array, p, n, conjugate=False)
-    scale = p**n
-    bad = np.flatnonzero((rows % scale != 0).any(axis=-1))
+    return divide_exact(transform(array, p, n, conjugate=False), p**n, p)
+
+
+def divide_exact(array: np.ndarray, scale: int, p: int) -> np.ndarray:
+    """array / scale for a (..., d) array; NotDivisible names the first inexact entry."""
+    bad = np.flatnonzero((array % scale != 0).any(axis=-1))
     if bad.size:
         i = int(bad[0])
-        value = CycInt(p, rows[i])
+        value = CycInt(p, array.reshape(-1, array.shape[-1])[i])
         raise NotDivisible(f"coordinate {i} = {value} is not a multiple of {scale}", index=i, value=value)
-    return rows // scale
+    return array // scale
 
 
 def is_flat(vec) -> bool:
@@ -225,7 +215,8 @@ def spectrum_kron(a: Spectrum, b: Spectrum) -> Spectrum:
     """Kronecker product of spectra; first factor owns the high digits."""
     if a.p != b.p:
         raise ValueError(f"radix mismatch: {a.p} vs {b.p}")
-    return Spectrum(a.p, a.n + b.n, (u * v for u in a.entries for v in b.entries))
+    product = mul_array(a.array, b.array, a.p, "ib,jc->ijbc")
+    return Spectrum.from_array(a.p, a.n + b.n, product.reshape(-1, degree(a.p)))
 
 
 # -- the exact array engine ----------------------------------------------------
@@ -238,6 +229,13 @@ def kernel_dtype(bound: int):
 
 def _maxabs(array: np.ndarray) -> int:
     return max(int(array.max()), -int(array.min())) if array.size else 0
+
+
+def _check_coefficients(array: np.ndarray, shape: tuple) -> None:
+    if array.shape != shape:
+        raise ValueError(f"expected a {shape} array, got {array.shape}")
+    if array.dtype != object and not np.issubdtype(array.dtype, np.integer):
+        raise ValueError(f"expected integer coefficients, got dtype {array.dtype}")
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -296,15 +294,44 @@ def transform(array: np.ndarray, p: int, n: int, conjugate: bool) -> np.ndarray:
     return out.reshape(array.shape)
 
 
+@lru_cache(maxsize=None)
+def _product_table(p: int) -> np.ndarray:
+    """Row b·d + k: the coefficients of ξ^(b+k), each -1, 0 or 1."""
+    roots, d = _root_coeffs(p), degree(p)
+    rows = [roots[(b + k) % p] for b in range(d) for k in range(d)]
+    return _frozen(np.array(rows, dtype=np.int64))
+
+
+def mul_array(
+    a: np.ndarray, b: np.ndarray, p: int, pairing: str = "...b,...c->...bc", terms: int = 1
+) -> np.ndarray:
+    """The exact ring product of (..., d) coefficient arrays a and b.
+
+    pairing is an einsum ending in the coefficient axes b and c, kept in its
+    output: "...b,...c->...bc" is entrywise, "ib,jc->ijbc" Kronecker and
+    "ikb,kjc->ijbc" a matrix product.  The d×d outer product is folded by
+    the ξ^(b+k) table, so an output coefficient sums d²·terms products, where
+    terms counts what the pairing (or a later sum by the caller) adds up.
+    """
+    d = degree(p)
+    if a.dtype != object and b.dtype != object:
+        dtype = kernel_dtype(terms * d * d * _maxabs(a) * _maxabs(b))
+        a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    outer = np.einsum(pairing, a, b)
+    return outer.reshape(*outer.shape[:-2], d * d) @ _product_table(p)
+
+
 def abs_squared(array: np.ndarray, p: int) -> np.ndarray:
     """S·conj(S) per entry of a (..., d) array; exact, like CycInt.abs_squared."""
-    roots, d = _root_coeffs(p), degree(p)
-    # conj(S) at most doubles a coefficient; the product sums d² such pairs
-    array = array.astype(kernel_dtype(2 * d * d * _maxabs(array) ** 2), copy=False)
-    conj = np.array([roots[-b % p] for b in range(d)])  # row b: conj(ξ^b)
-    outer = (array @ conj)[..., :, None] * array[..., None, :]
-    product = np.array([roots[(b + k) % p] for b in range(d) for k in range(d)])  # ξ^(b+k)
-    return outer.reshape(*array.shape[:-1], d * d) @ product
+    # conj(S) at most doubles a coefficient
+    array = array.astype(kernel_dtype(2 * _maxabs(array)), copy=False)
+    return mul_array(array @ np.array(_conj_basis(p)), array, p)
+
+
+def _root_exponents(array: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, ok): array[x] is the coefficient row of +ξ^k[x] exactly where ok[x]."""
+    match = (array[..., None, :] == root_table(p)).all(axis=-1)
+    return match.argmax(axis=-1), match.any(axis=-1)
 
 
 def flat_mask(array: np.ndarray, p: int, n: int) -> np.ndarray:

@@ -103,6 +103,27 @@ def test_permute_dense_is_guarded_by_its_p_2n_cost(monkeypatch, capsys):
     assert code == 0 and "g: 021222120" in text
 
 
+def test_permute_table_guards_a_dense_w_before_building_it(monkeypatch, capsys):
+    # blockdiag(I,I,N) conjugates to a dense 9×9 W, so kron(..., X) is a dense 27×27 W
+    monkeypatch.setenv("BENT_SIZE_LIMIT", "81")
+    code, text = run("permute", "--expr", "kron(blockdiag(I,I,N),X)", "--function", "0" * 27, "--via", "table")
+    assert code == 2 and text == ""
+    assert "3^6 exceeds the size limit 81" in capsys.readouterr().err
+    # a GenPerm W stays unguarded: it is densified only to print its 9×9 form
+    monkeypatch.setenv("BENT_SIZE_LIMIT", "80")
+    code, text = run("permute", "--expr", "kron(N,N)", "--function", "000012021", "--via", "table")
+    assert code == 0 and "W:" in text
+
+
+def test_permute_table_does_not_densify_a_w_too_large_to_print(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a 27×27 W is not printed, so it must not be densified")
+
+    monkeypatch.setattr("vcbent.genperm.GenPerm.to_dense", refuse)
+    code, text = run("permute", "--expr", "kron(N,kron(N,N))", "--function", "0" * 27, "--via", "table")
+    assert code == 0 and "not-bent: not-flat" in text and "W:" not in text
+
+
 def test_permute_function_length_not_a_power_exits_2():
     code, text = run("permute", "--expr", "kron(N,N)", "--function", "00001")
     assert code == 2 and text == ""

@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vcbent.bentlab import circular_spectrum
-from vcbent.cyclotomic import CycInt, RootScalar, degree, xi
+from vcbent.cyclotomic import CycInt, NotDivisible, RadixMismatch, RootScalar, degree, xi
 from vcbent.genperm import (
     DenseCycMatrix,
     GAMMA_NAMES,
@@ -269,6 +270,43 @@ def test_conjugate_by_c_matches_reference_on_generalized_permutations(m):
 def test_conjugate_by_c_matches_reference_on_dense_fractions(m):
     assume(m.denom > 1)
     assert as_dense(conjugate_by_c(m)) == reference_conjugate(m)
+
+
+def test_dense_from_array_validates_and_compares_across_dtypes():
+    with pytest.raises(ValueError):
+        DenseCycMatrix.from_array(3, np.zeros((3, 2, 2), dtype=np.int64))
+    with pytest.raises(ValueError):
+        DenseCycMatrix.from_array(3, np.zeros((3, 3, 4), dtype=np.int64))
+    with pytest.raises(ValueError):
+        DenseCycMatrix.from_array(3, np.zeros((3, 3, 2)))
+    num = np.array([[[2, 4], [0, 6]], [[-2, 0], [4, 2]]], dtype=np.int64)
+    m = DenseCycMatrix.from_array(3, num.copy(), denom=6)
+    assert m.denom == 3 and not m.num.flags.writeable
+    assert m.rows == ((CycInt(3, (1, 2)), CycInt(3, (0, 3))), (CycInt(3, (-1, 0)), CycInt(3, (2, 1))))
+    as_object = DenseCycMatrix.from_array(3, num.astype(object), denom=6)
+    from_rows = DenseCycMatrix(3, [[CycInt(3, c) for c in row] for row in num.tolist()], denom=-6)
+    assert from_rows.denom == 3 and from_rows.num.tolist() == (-num // 2).tolist()
+    assert m == as_object and hash(m) == hash(as_object)
+    assert m != from_rows
+
+
+def test_dense_operations_refuse_mixed_radices():
+    # p = 3 and p = 4 both have d = 2, so unchecked arrays would mix the two rings silently
+    a = identity(3, 3).to_dense()
+    b = DenseCycMatrix.from_array(4, np.zeros((3, 3, 2), dtype=np.int64))
+    for op in (a.kron, a.matmul, a.add):
+        with pytest.raises(RadixMismatch):
+            op(b)
+    with pytest.raises(RadixMismatch):
+        identity(3, 1).to_dense().apply([CycInt.one(4)])  # 1 = 3^0 = 4^0 entries
+
+
+def test_dense_apply_reports_the_first_inexact_coordinate():
+    half = DenseCycMatrix(3, [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]], denom=2)
+    assert half.apply([2 * W, 4 * ONE, ZERO]) == [W, 2 * ONE, ZERO]
+    with pytest.raises(NotDivisible, match=r"coordinate 1 = 1\+2x is not a multiple of 2") as exc:
+        half.apply([2 * W, ONE + 2 * W, 3 * ONE])
+    assert exc.value.index == 1 and exc.value.value == ONE + 2 * W
 
 
 def test_is_generalized_permutation():

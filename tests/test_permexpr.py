@@ -1,4 +1,8 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcbent.cyclotomic import RootScalar
 from vcbent.genperm import (
@@ -11,7 +15,20 @@ from vcbent.genperm import (
     pauli_z,
     scale,
 )
-from vcbent.permexpr import ExprParseError, conjugate_expr, evaluate, parse, render
+from vcbent.permexpr import (
+    ATOM_NAMES,
+    Atom,
+    BlockDiag,
+    Compose,
+    Diag,
+    ExprParseError,
+    Kron,
+    Rot,
+    conjugate_expr,
+    evaluate,
+    parse,
+    render,
+)
 
 CANONICAL = [
     "I",
@@ -92,6 +109,43 @@ def test_case3_equivalent_permutations():
 )
 def test_conjugate_expr_agrees_with_dense_route(text):
     node = parse(text)
+    structural = conjugate_expr(node)
+    dense = conjugate_by_c(evaluate(node))
+    assert type(structural) is type(dense)
+    assert as_dense(structural) == as_dense(dense)
+
+
+ROOTS = st.builds(RootScalar, st.just(3), st.sampled_from([1, -1]), st.integers(0, 2))
+# the rotations render writes; (1, 0) is the identity and parses back as its child
+ROTATIONS = st.sampled_from([(1, 1), (1, 2), (-1, 0), (-1, 1), (-1, 2)])
+
+
+@lru_cache(maxsize=None)
+def expressions(n: int, depth: int = 3):
+    """Canonical expression trees of size 3^n: atoms and diag at sizes 3 and 9,
+    blockdiag and compose at n ≤ 2, kron at n ≥ 2 and rotations at every n."""
+    sub = lambda m: expressions(m, max(depth - 1, 0))  # noqa: E731
+    options = []
+    if n == 1:
+        options.append(st.sampled_from(ATOM_NAMES).map(Atom))
+    if n <= 2:
+        options.append(st.lists(ROOTS, min_size=3**n, max_size=3**n).map(lambda e: Diag(tuple(e))))
+    # kron lowers n, so it always terminates; the other forms spend depth
+    options += [st.builds(Kron, sub(k), sub(n - k)) for k in range(1, n)]
+    if depth:
+        if n == 2:
+            options.append(st.lists(sub(1), min_size=3, max_size=3).map(lambda i: BlockDiag(tuple(i))))
+        if n <= 2:
+            options.append(st.builds(Compose, sub(n), sub(n)))
+        unrotated = sub(n).filter(lambda e: not isinstance(e, Rot))
+        options.append(st.builds(lambda r, e: Rot(r[0], r[1], e), ROTATIONS, unrotated))
+    return st.one_of(options)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(expressions))
+def test_random_trees_round_trip_and_conjugate_by_both_routes(node):
+    assert parse(render(node)) == node
     structural = conjugate_expr(node)
     dense = conjugate_by_c(evaluate(node))
     assert type(structural) is type(dense)

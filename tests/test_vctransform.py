@@ -19,6 +19,7 @@ from vcbent.vctransform import (
     inverse,
     is_flat,
     kernel_dtype,
+    mul_array,
     parse_spectrum_lines,
     spectrum_kron,
     transform,
@@ -243,6 +244,22 @@ def test_spectrum_kron():
     for i in range(9):
         for j in range(9):
             assert big.entries[i * 9 + j] == s.entries[i] * s.entries[j]
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_mul_array_bound_counts_contracted_terms(p):
+    # 64 products of 2^29 sum to ±2^64 in one outer-product cell although each product fits:
+    # the bound 64·d²·2^58 sends that contraction to Python ints; 8 terms of 2^27 stay on int64
+    d = degree(p)
+    for terms, coeff, kernel in ((64, 2**29, object), (8, 2**27, np.int64)):
+        a = np.full((terms, d), coeff, dtype=np.int64)
+        b = np.tile([coeff * (-1) ** c for c in range(d)], (terms, 1))
+        out = mul_array(a, b, p, "kb,kc->bc", terms=terms)
+        assert out.dtype == kernel
+        expected = CycInt.zero(p)
+        for ra, rb in zip(a.tolist(), b.tolist()):
+            expected = expected + CycInt(p, ra) * CycInt(p, rb)
+        assert CycInt(p, out) == expected
 
 
 def test_size_guard():
