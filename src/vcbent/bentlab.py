@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycInt, NotAUnitRoot, NotDivisible
-from .mvfunction import MvFunction, add_constant, sign_of
-from .vctransform import Spectrum, _guard, _root_exponents, flat_mask, inverse_array, root_table, transform
+from .cyclotomic import CycInt, NotAUnitRoot, NotDivisible, _root_exponents
+from .mvfunction import MvFunction, NotASign, SignVector, add_constant, sign_of, try_from_sign
+from .vctransform import Spectrum, _guard, flat_mask, forward_fast, inverse_array
 
 
 class NotStrict(ValueError):
@@ -81,9 +81,7 @@ def _first(mask: np.ndarray) -> int | None:
 
 def circular_spectrum(f: MvFunction) -> Spectrum:
     """The spectrum of ξ^f; value-identical to forward(sign_of(f))."""
-    _guard(f.p, f.n, None)
-    sign = root_table(f.p)[np.asarray(f.values)]
-    return Spectrum.from_array(f.p, f.n, transform(sign, f.p, f.n, conjugate=True))
+    return forward_fast(sign_of(f))
 
 
 def is_bent(f: MvFunction) -> BentVerdict:
@@ -111,11 +109,10 @@ def spectrum_is_bent(s: Spectrum) -> MvFunction:
         signs = inverse_array(array, p, n)
     except NotDivisible as exc:
         raise NotBentSpectrum("not-divisible", exc.index, exc.value) from exc
-    exponents, ok = _root_exponents(signs, p)
-    x = _first(~ok)
-    if x is not None:
-        raise NotBentSpectrum("not-a-sign", x, CycInt(p, signs[x]))
-    return MvFunction(p, n, exponents.tolist())
+    try:
+        return try_from_sign(SignVector.from_array(p, n, signs))
+    except NotASign as exc:
+        raise NotBentSpectrum("not-a-sign", exc.index, exc.value) from exc
 
 
 def strict_exponents(s: Spectrum) -> tuple[int, ...]:

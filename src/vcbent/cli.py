@@ -88,7 +88,7 @@ def cmd_permute(args, out) -> int:
     else:
         with open(args.spectrum) as fh:
             spectrum = parse_spectrum_lines(fh.readlines())
-    if perm.size != len(spectrum.entries):
+    if perm.size != len(spectrum):
         raise UsageError(f"permutation size {perm.size} does not match spectrum length")
     # W first, so that a refused conjugation leaves stdout empty
     w = conjugate_by_c(perm) if args.via == "dense" else permexpr.conjugate_expr(expr)

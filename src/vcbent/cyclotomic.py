@@ -11,11 +11,19 @@ equality:
 Coefficients are Python ints, so nothing here ever overflows or rounds.
 The canonical text form writes ξ as ``x``: ``"3"``, ``"3x"``, ``"-1-1x"``,
 ``"2x^3"`` (the last only for p=5, where the basis has degree 4).
+
+Many values at once are an (..., d) array of the same coefficients, int64
+when they fit and Python ints (dtype=object) otherwise: root_table() holds
+the powers ξ^k, and CycVector is the vector shared by signs and spectra.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from typing import Iterable
+
+import numpy as np
 
 SUPPORTED_RADICES = (3, 4, 5, 6)
 
@@ -303,44 +311,137 @@ class RootScalar:
 
 # -- cached per-radix tables -------------------------------------------------
 
-_ROOT_COEFFS: dict[int, tuple] = {}
-_CONJ_BASIS: dict[int, tuple] = {}
-_UNIT_LOOKUP: dict[int, dict] = {}
 
-
+@lru_cache(maxsize=None)
 def _root_coeffs(p: int) -> tuple:
-    table = _ROOT_COEFFS.get(p)
-    if table is None:
-        one = (1,) + (0,) * (_DEGREE[p] - 1)
-        rows = [one]
-        for _ in range(p - 1):
-            rows.append(rotate_coeffs(p, rows[-1], 1))
-        table = tuple(rows)
-        _ROOT_COEFFS[p] = table
-    return table
+    one = (1,) + (0,) * (_DEGREE[p] - 1)
+    rows = [one]
+    for _ in range(p - 1):
+        rows.append(rotate_coeffs(p, rows[-1], 1))
+    return tuple(rows)
 
 
+@lru_cache(maxsize=None)
 def _conj_basis(p: int) -> tuple:
     """conj(ξ^i) for the basis powers i = 0..d-1, as coefficient rows."""
-    table = _CONJ_BASIS.get(p)
-    if table is None:
-        roots = _root_coeffs(p)
-        table = tuple(roots[(-i) % p] for i in range(_DEGREE[p]))
-        _CONJ_BASIS[p] = table
-    return table
+    roots = _root_coeffs(p)
+    return tuple(roots[(-i) % p] for i in range(_DEGREE[p]))
 
 
+@lru_cache(maxsize=None)
 def _unit_lookup(p: int) -> dict:
-    table = _UNIT_LOOKUP.get(p)
-    if table is None:
-        table = {}
-        roots = _root_coeffs(p)
-        for k in range(p):
-            table.setdefault(roots[k], (1, k))
-        for k in range(p):
-            table.setdefault(tuple(-c for c in roots[k]), (-1, k))
-        _UNIT_LOOKUP[p] = table
+    table = {}
+    roots = _root_coeffs(p)
+    for k in range(p):
+        table.setdefault(roots[k], (1, k))
+    for k in range(p):
+        table.setdefault(tuple(-c for c in roots[k]), (-1, k))
     return table
+
+
+# -- array form ----------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def root_table(p: int) -> np.ndarray:
+    """Row k holds the power-basis coefficients of ξ^k."""
+    return _frozen(np.array(_root_coeffs(p), dtype=np.int64))
+
+
+def _root_exponents(array: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, ok): array[x] is the coefficient row of +ξ^k[x] exactly where ok[x]."""
+    match = (array[..., None, :] == root_table(p)).all(axis=-1)
+    return match.argmax(axis=-1), match.any(axis=-1)
+
+
+def _check_coefficients(array: np.ndarray, shape: tuple) -> None:
+    if array.shape != shape:
+        raise ValueError(f"expected a {shape} array, got {array.shape}")
+    if array.dtype.kind not in "iuO":  # signed, unsigned or Python ints
+        raise ValueError(f"expected integer coefficients, got dtype {array.dtype}")
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _rows_array(rows) -> np.ndarray:
+    try:
+        return _frozen(np.array(rows, dtype=np.int64))
+    except OverflowError:
+        return _frozen(np.array(rows, dtype=object))
+
+
+def _cyc_list(p: int, array: np.ndarray) -> list[CycInt]:
+    return [CycInt._trusted(p, tuple(row)) for row in array.tolist()]
+
+
+class CycVector:
+    """Length-p^n vector over Z[ξ_p]: CycInt entries, a (p^n, d) array, or both,
+    each built from the other on first use.  == holds within one class and
+    compares arrays whatever their dtype; hash agrees with it."""
+
+    __slots__ = ("p", "n", "_entries", "_array")
+
+    def __init__(self, p: int, n: int, entries: Iterable[CycInt]):
+        entries = tuple(entries)
+        if len(entries) != p**n:
+            raise ValueError(f"expected {p**n} entries for p={p}, n={n}")
+        self.p = p
+        self.n = n
+        self._entries = entries
+        self._array = None
+
+    @classmethod
+    def from_array(cls, p: int, n: int, array: np.ndarray):
+        """Wrap a (p^n, d) integer coefficient array, made read-only; entries are built on demand."""
+        _check_coefficients(array, (p**n, degree(p)))
+        self = object.__new__(cls)
+        self.p = p
+        self.n = n
+        self._entries = None
+        self._array = _frozen(array)
+        return self
+
+    @property
+    def entries(self) -> tuple[CycInt, ...]:
+        if self._entries is None:
+            self._entries = self._make_entries()
+        return self._entries
+
+    @property
+    def array(self) -> np.ndarray:
+        """Read-only (p^n, d) coefficients: int64 when they fit, else Python ints."""
+        if self._array is None:
+            self._array = self._make_array()
+        return self._array
+
+    def _make_entries(self) -> tuple[CycInt, ...]:
+        return tuple(_cyc_list(self.p, self._array))
+
+    def _make_array(self) -> np.ndarray:
+        return _rows_array([e.coeffs for e in self._entries])
+
+    def __len__(self) -> int:
+        return self.p**self.n
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __getitem__(self, i: int) -> CycInt:
+        return self.entries[i]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.p, self.n) == (other.p, other.n) and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.n, self.entries))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.p}, {self.n}, [{', '.join(map(str, self.entries))}])"
 
 
 # -- text form ----------------------------------------------------------------

@@ -288,11 +288,11 @@ class BlockdiagSurvey:
     prose_formula: str = "120*6 + 30*3 + 5"
 
 
-def blockdiag_survey(seed: MvFunction, blocks_catalog=None) -> BlockdiagSurvey:
+def blockdiag_survey(seed: MvFunction) -> BlockdiagSurvey:
     """Apply every blockdiag(a, b, c), a, b, c ∈ Γ, to the seed spectrum."""
     if seed.p != 3 or seed.n != 2:
         raise ValueError("survey is defined for two-place ternary functions")
-    catalog = blocks_catalog or [(name, gamma(name)) for name in GAMMA_NAMES]
+    catalog = [(name, gamma(name)) for name in GAMMA_NAMES]
     s_seed = circular_spectrum(seed)
     report = BlockdiagSurvey(seed=seed)
     seen: set[MvFunction] = set()

@@ -21,15 +21,18 @@ normalized by content; its products are vctransform.mul_array calls.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycInt, NotAUnitRoot, NotDivisible, RadixMismatch, RootScalar, degree
+from .cyclotomic import (
+    CycInt, NotAUnitRoot, NotDivisible, RadixMismatch, RootScalar, _check_coefficients, _cyc_list, _frozen,
+    _root_exponents, _rows_array, degree, root_table,
+)
 from .mvfunction import _length_to_n
 from .vctransform import (
-    Spectrum, _as_array, _check_coefficients, _cyc_list, _frozen, _guard, _maxabs, _root_exponents,
-    _rows_array, divide_exact, kernel_dtype, mul_array, root_table, transform,
+    Spectrum, _as_array, _guard, _maxabs, divide_exact, kernel_dtype, mul_array, transform,
 )
 
 
@@ -354,30 +357,17 @@ def is_generalized_permutation(m) -> bool:
     return isinstance(m, GenPerm) or isinstance(_downcast(m), GenPerm)
 
 
-_CONJUGATE_TABLE: dict[str, GenPerm] | None = None
-
-
+@lru_cache(maxsize=None)
 def conjugate_table(name: str) -> GenPerm:
     """The tabulated image of an elementary permutation under conjugation."""
-    global _CONJUGATE_TABLE
-    if _CONJUGATE_TABLE is None:
-        z = pauli_z(3)
-        zc = pauli_z(3, conjugated=True)
-        p12 = gamma("P12")
-        _CONJUGATE_TABLE = {
-            "I": gamma("I"),
-            "N": compose(zc, p12),
-            "P12": p12,
-            "P01": compose(z, p12),
-            "X": z,
-            "XT": zc,
-        }
-    perm = _CONJUGATE_TABLE.get(name)
-    if perm is None:
+    if name not in GAMMA_NAMES:
         raise ValueError(f"unknown elementary permutation {name!r}; expected {GAMMA_NAMES}")
-    return perm
+    z, zc, p12 = pauli_z(3), pauli_z(3, conjugated=True), gamma("P12")
+    images = {"I": gamma("I"), "N": compose(zc, p12), "P12": p12, "P01": compose(z, p12), "X": z, "XT": zc}
+    return images[name]
 
 
+@lru_cache(maxsize=None)
 def c_diag_c_component(index: int) -> DenseCycMatrix:
     """3^(-1)·C(1)·diag(e_index)·C*(1): the reusable block-diagonal pieces."""
     if index not in (0, 1, 2):
@@ -396,9 +386,11 @@ def conjugate_blockdiag(blocks: Sequence[GenPerm]) -> "GenPerm | DenseCycMatrix"
     The selector conjugates are the rank-one matrices exposed as
     c_diag_c_component().  (For diagonal blocks the two factor orders
     describe the same matrix; the asymmetric cases fix this one.)
+    W(2) is dense with 3^4 entries, so the size guard is applied to 3^4.
     """
     if len(blocks) != 3 or any(b.size != 3 or b.p != 3 for b in blocks):
         raise ValueError("expected exactly 3 generalized permutations of size 3 (p=3)")
+    _guard(3, 4, None)
     total = None
     for i, blk in enumerate(blocks):
         term = c_diag_c_component(i).kron(as_dense(conjugate_by_c(blk)))

@@ -2,6 +2,10 @@
 the small structural operators on them (constant addition, tensor sum,
 column vectorization, GF(3) polynomial evaluation).
 
+A sign vector ξ^f holds its exponent vector f, so sign_of() is O(1); its
+coefficient array and CycInt entries are built on first use.  Every other
+way in goes through one array decode, NotASign at the first entry not +ξ^k.
+
 Index convention, fixed throughout the package: a point
 (x_1, ..., x_n) ∈ Z_p^n is flattened as x = x_1·p^(n-1) + ... + x_n,
 i.e. x_1 is the MOST significant base-p digit.  The two-place ternary
@@ -13,7 +17,11 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .cyclotomic import CycInt, NotAUnitRoot, RadixMismatch, _check_radix
+import numpy as np
+
+from .cyclotomic import (
+    CycInt, CycVector, RadixMismatch, _check_radix, _frozen, _root_exponents, _rows_array, root_table,
+)
 
 
 def digits_of(x: int, p: int, n: int) -> tuple[int, ...]:
@@ -110,56 +118,55 @@ class MvFunction:
         return f"MvFunction({self.p}, {self.n}, {self.digit_string()!r})"
 
 
-class SignVector:
+class SignVector(CycVector):
     """Length-p^n vector of +ξ^k values: the sign representation ξ^f."""
 
-    __slots__ = ("p", "n", "entries")
+    __slots__ = ("_exponents",)
 
     def __init__(self, p: int, n: int, entries: Iterable[CycInt]):
-        entries = tuple(entries)
-        if len(entries) != p**n:
-            raise ValueError(f"expected {p**n} entries for p={p}, n={n}")
-        for i, e in enumerate(entries):
-            if not isinstance(e, CycInt) or e.p != p:
-                raise RadixMismatch(f"entry {i} is not in Z[ξ_{p}]")
-            try:
-                rs = e.as_root_scalar()
-            except NotAUnitRoot as exc:
-                raise NotASign(i, e) from exc
-            if rs.sign != 1:
-                raise NotASign(i, e)
-        self.p = p
-        self.n = n
-        self.entries = entries
+        super().__init__(p, n, entries)
+        entries = self._entries
+        foreign = next((i for i, e in enumerate(entries) if not isinstance(e, CycInt) or e.p != p), None)
+        # the entries before a foreign one are decoded first, so the lower index is reported
+        if foreign != 0:
+            self._array = _rows_array([e.coeffs for e in entries[:foreign]])
+            self._exponents = _sign_exponents(p, self._array)
+        if foreign is not None:
+            raise RadixMismatch(f"entry {foreign} is not in Z[ξ_{p}]")
+
+    @classmethod
+    def from_array(cls, p: int, n: int, array: np.ndarray) -> "SignVector":
+        """Decode a (p^n, d) integer coefficient array, made read-only; NotASign at the first non-sign."""
+        self = super().from_array(p, n, array)
+        self._exponents = _sign_exponents(p, array)
+        return self
 
     def exponents(self) -> tuple[int, ...]:
-        return tuple(e.as_root_scalar().exponent for e in self.entries)
+        return self._exponents
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    def _make_entries(self) -> tuple[CycInt, ...]:
+        roots = [CycInt.root(self.p, k) for k in range(self.p)]
+        return tuple(roots[k] for k in self._exponents)
 
-    def __iter__(self):
-        return iter(self.entries)
+    def _make_array(self) -> np.ndarray:
+        return _frozen(root_table(self.p)[np.array(self._exponents, dtype=np.intp)])
 
-    def __getitem__(self, i: int) -> CycInt:
-        return self.entries[i]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignVector):
-            return NotImplemented
-        return (self.p, self.n, self.entries) == (other.p, other.n, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.n, self.entries))
-
-    def __repr__(self) -> str:
-        return f"SignVector({self.p}, {self.n}, [{', '.join(map(str, self.entries))}])"
+def _sign_exponents(p: int, array: np.ndarray) -> tuple[int, ...]:
+    """k with array[x] = +ξ^k[x], the one sign decode; NotASign names the first other entry."""
+    exponents, ok = _root_exponents(array, p)
+    if not ok.all():
+        i = int(ok.argmin())
+        raise NotASign(i, CycInt(p, array[i]))
+    return tuple(exponents.tolist())
 
 
 def sign_of(f: MvFunction) -> SignVector:
-    """F = [ξ^f(0), ξ^f(1), ...]."""
-    roots = [CycInt.root(f.p, k) for k in range(f.p)]
-    return SignVector(f.p, f.n, (roots[v] for v in f.values))
+    """F = [ξ^f(0), ξ^f(1), ...], held as the exponent vector f.values; builds no CycInt."""
+    sign = object.__new__(SignVector)
+    sign.p, sign.n, sign._exponents = f.p, f.n, f.values
+    sign._entries = sign._array = None
+    return sign
 
 
 def _length_to_n(p: int, length: int) -> int:
@@ -174,27 +181,13 @@ def _length_to_n(p: int, length: int) -> int:
 
 def try_from_sign(entries) -> MvFunction:
     """Recover f with ξ^f = entries; NotASign if any entry is not +ξ^k."""
-    if isinstance(entries, SignVector):
-        seq = entries.entries
-        p = entries.p
-    else:
+    if not isinstance(entries, SignVector):
         seq = tuple(entries)
         if not seq:
             raise ValueError("empty vector")
         p = seq[0].p
-    n = _length_to_n(p, len(seq))
-    values = []
-    for i, e in enumerate(seq):
-        if not isinstance(e, CycInt) or e.p != p:
-            raise RadixMismatch(f"entry {i} is not in Z[ξ_{p}]")
-        try:
-            rs = e.as_root_scalar()
-        except NotAUnitRoot as exc:
-            raise NotASign(i, e) from exc
-        if rs.sign != 1:
-            raise NotASign(i, e)
-        values.append(rs.exponent)
-    return MvFunction(p, n, values)
+        entries = SignVector(p, _length_to_n(p, len(seq)), seq)
+    return MvFunction(entries.p, entries.n, entries.exponents())
 
 
 def add_constant(f: MvFunction, c: int) -> MvFunction:

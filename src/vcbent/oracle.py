@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cyclotomic import root_table
 from .mvfunction import MvFunction
-from .vctransform import flat_mask, root_table, transform
+from .vctransform import flat_mask, transform
 
 # p^(p^n) candidate functions must stay enumerable at desk scale
 SCAN_GUARD = 2**20

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclotomic import RootScalar
 from .genperm import (
@@ -241,18 +242,11 @@ def evaluate(node: Expr) -> GenPerm:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-_ATOM_CONJ: dict[str, GenPerm] = {}
-
-
+@lru_cache(maxsize=None)
 def _atom_conjugate(name: str) -> GenPerm:
-    img = _ATOM_CONJ.get(name)
-    if img is None:
-        if name in ("Z", "Zc"):
-            img = conjugate_by_c(_atom_perm(name))
-        else:
-            img = conjugate_table(name)
-        _ATOM_CONJ[name] = img
-    return img
+    if name in ("Z", "Zc"):
+        return conjugate_by_c(_atom_perm(name))
+    return conjugate_table(name)
 
 
 def conjugate_expr(node: Expr) -> "GenPerm | DenseCycMatrix":

@@ -23,8 +23,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycInt, NotDivisible, _conj_basis, _root_coeffs, degree
-from .mvfunction import SignVector, _length_to_n, digits_of
+from .cyclotomic import (
+    CycInt, CycVector, NotDivisible, _conj_basis, _cyc_list, _frozen, _root_coeffs, degree, root_table,
+)
+from .mvfunction import _length_to_n, digits_of
 
 DEFAULT_SIZE_LIMIT = 3**10
 
@@ -48,38 +50,17 @@ def _guard(p: int, n: int, limit: int | None) -> None:
         raise SizeLimitExceeded(f"{p}^{n} exceeds the size limit {bound}")
 
 
-class Spectrum:
-    """Length-p^n vector of CycInt spectral coefficients S(w).
+class Spectrum(CycVector):
+    """Length-p^n vector of spectral coefficients S(w): CycInt entries or a
+    (p^n, d) coefficient array (from_array), each built from the other on first use."""
 
-    Backed by CycInt entries or by a (p^n, d) coefficient array (from_array);
-    each form is built from the other on first use, and == and hash agree
-    across the two.
-    """
-
-    __slots__ = ("p", "n", "_entries", "_array")
+    __slots__ = ()
 
     def __init__(self, p: int, n: int, entries: Iterable[CycInt]):
-        entries = tuple(entries)
-        if len(entries) != p**n:
-            raise ValueError(f"expected {p**n} entries for p={p}, n={n}")
-        for e in entries:
+        super().__init__(p, n, entries)
+        for e in self._entries:
             if not isinstance(e, CycInt) or e.p != p:
                 raise ValueError(f"entry {e!r} is not in Z[ξ_{p}]")
-        self.p = p
-        self.n = n
-        self._entries = entries
-        self._array = None
-
-    @classmethod
-    def from_array(cls, p: int, n: int, array: np.ndarray) -> "Spectrum":
-        """Wrap a (p^n, d) integer coefficient array, made read-only; entries are built on demand."""
-        _check_coefficients(array, (p**n, degree(p)))
-        self = object.__new__(cls)
-        self.p = p
-        self.n = n
-        self._entries = None
-        self._array = _frozen(array)
-        return self
 
     @classmethod
     def from_strict_exponents(cls, p: int, n: int, exponents: Sequence[int]) -> "Spectrum":
@@ -88,39 +69,6 @@ class Spectrum:
             raise ValueError("strict exponent form needs an even variable count")
         scale = p ** (n // 2)
         return cls(p, n, (CycInt.root(p, e) * scale for e in exponents))
-
-    @property
-    def entries(self) -> tuple[CycInt, ...]:
-        if self._entries is None:
-            self._entries = tuple(_cyc_list(self.p, self._array))
-        return self._entries
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only (p^n, d) coefficients: int64 when they fit, else Python ints."""
-        if self._array is None:
-            self._array = _rows_array([e.coeffs for e in self._entries])
-        return self._array
-
-    def __len__(self) -> int:
-        return self.p**self.n
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> CycInt:
-        return self.entries[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        return (self.p, self.n) == (other.p, other.n) and np.array_equal(self.array, other.array)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.n, self.entries))
-
-    def __repr__(self) -> str:
-        return f"Spectrum({self.p}, {self.n}, [{', '.join(map(str, self.entries))}])"
 
 
 class VCMatrix:
@@ -151,14 +99,17 @@ def build_c(p: int, n: int, limit: int | None = None) -> VCMatrix:
     return VCMatrix(p, n, rows)
 
 
-def _as_array(vec) -> tuple[int, int, np.ndarray]:
-    if isinstance(vec, Spectrum):
-        return vec.p, vec.n, vec.array
-    entries = tuple(vec.entries if isinstance(vec, SignVector) else vec)
-    if not entries:
-        raise ValueError("empty vector")
-    p = entries[0].p
-    return p, _length_to_n(p, len(entries)), _rows_array([e.coeffs for e in entries])
+def _as_array(vec, guard: bool = False, limit: int | None = None) -> tuple[int, int, np.ndarray]:
+    """p, n and the (p^n, d) coefficients of a vector; with guard, the size guard runs first."""
+    if not isinstance(vec, CycVector):
+        entries = tuple(vec)
+        if not entries:
+            raise ValueError("empty vector")
+        p = entries[0].p
+        vec = Spectrum(p, _length_to_n(p, len(entries)), entries)
+    if guard:
+        _guard(vec.p, vec.n, limit)
+    return vec.p, vec.n, vec.array
 
 
 def forward(vec, limit: int | None = None) -> Spectrum:
@@ -167,26 +118,23 @@ def forward(vec, limit: int | None = None) -> Spectrum:
     The O(p^2n) reference: one ring product of F with the row ξ^(-⟨w·x⟩)
     per output w, so its extra memory stays O(p^n).
     """
-    p, n, array = _as_array(vec)
-    _guard(p, n, limit)
+    p, n, array = _as_array(vec, True, limit)
     size = p**n
     digits = np.array([digits_of(x, p, n) for x in range(size)], dtype=np.int64).reshape(size, n)
     roots = root_table(p)
     rows = [mul_array(roots[-(digits @ wd) % p], array, p, terms=size).sum(axis=0) for wd in digits]
-    return Spectrum(p, n, _cyc_list(p, np.stack(rows)))
+    return Spectrum.from_array(p, n, np.stack(rows))
 
 
 def forward_fast(vec, limit: int | None = None) -> Spectrum:
     """The forward transform through the staged engine; identical output to forward()."""
-    p, n, array = _as_array(vec)
-    _guard(p, n, limit)
+    p, n, array = _as_array(vec, True, limit)
     return Spectrum.from_array(p, n, transform(array, p, n, conjugate=True))
 
 
 def inverse(vec, limit: int | None = None) -> list[CycInt]:
     """F = p^(-n)·C(n)·S with exact division; NotDivisible when S is not an image."""
-    p, n, array = _as_array(vec)
-    _guard(p, n, limit)
+    p, n, array = _as_array(vec, True, limit)
     return _cyc_list(p, inverse_array(array, p, n))
 
 
@@ -229,35 +177,6 @@ def kernel_dtype(bound: int):
 
 def _maxabs(array: np.ndarray) -> int:
     return max(int(array.max()), -int(array.min())) if array.size else 0
-
-
-def _check_coefficients(array: np.ndarray, shape: tuple) -> None:
-    if array.shape != shape:
-        raise ValueError(f"expected a {shape} array, got {array.shape}")
-    if array.dtype != object and not np.issubdtype(array.dtype, np.integer):
-        raise ValueError(f"expected integer coefficients, got dtype {array.dtype}")
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-def _rows_array(rows) -> np.ndarray:
-    try:
-        return _frozen(np.array(rows, dtype=np.int64))
-    except OverflowError:
-        return _frozen(np.array(rows, dtype=object))
-
-
-def _cyc_list(p: int, array: np.ndarray) -> list[CycInt]:
-    return [CycInt._trusted(p, tuple(row)) for row in array.tolist()]
-
-
-@lru_cache(maxsize=None)
-def root_table(p: int) -> np.ndarray:
-    """Row k holds the power-basis coefficients of ξ^k."""
-    return _frozen(np.array(_root_coeffs(p), dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -328,12 +247,6 @@ def abs_squared(array: np.ndarray, p: int) -> np.ndarray:
     return mul_array(array @ np.array(_conj_basis(p)), array, p)
 
 
-def _root_exponents(array: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k, ok): array[x] is the coefficient row of +ξ^k[x] exactly where ok[x]."""
-    match = (array[..., None, :] == root_table(p)).all(axis=-1)
-    return match.argmax(axis=-1), match.any(axis=-1)
-
-
 def flat_mask(array: np.ndarray, p: int, n: int) -> np.ndarray:
     """|S(w)|² = p^n, per entry of a (..., p^n, d) spectrum array."""
     target = np.zeros(degree(p), dtype=np.int64)
@@ -365,7 +278,11 @@ def parse_spectrum_lines(lines: Sequence[str]) -> Spectrum:
         digits = body[0][4:]
         if len(digits) != p**n:
             raise ValueError(f"expected {p**n} exponent digits, got {len(digits)}")
-        return Spectrum.from_strict_exponents(p, n, [int(ch) for ch in digits])
+        exponents = [int(ch) for ch in digits]
+        for i, e in enumerate(exponents):
+            if e >= p:
+                raise ValueError(f"exponent digit {e} at position {i} is not below {p}")
+        return Spectrum.from_strict_exponents(p, n, exponents)
     if len(body) != p**n:
         raise ValueError(f"expected {p**n} entries, got {len(body)}")
     return Spectrum(p, n, (parse_cyc(p, ln) for ln in body))

@@ -124,6 +124,16 @@ def test_permute_table_does_not_densify_a_w_too_large_to_print(monkeypatch):
     assert code == 0 and "not-bent: not-flat" in text and "W:" not in text
 
 
+@pytest.mark.parametrize("via", ["dense", "table"])
+@pytest.mark.parametrize("expr", ["blockdiag(I,I,N)", "diag(w^2,1,w,1,1,1,w,1,w^2)"])
+def test_permute_block_diagonal_w_is_guarded_by_both_routes(monkeypatch, capsys, expr, via):
+    # both expressions conjugate through the block-diagonal decomposition to a dense 9×9 W
+    monkeypatch.setenv("BENT_SIZE_LIMIT", "80")
+    code, text = run("permute", "--expr", expr, "--function", "000012021", "--via", via)
+    assert code == 2 and text == ""
+    assert "3^4 exceeds the size limit 80" in capsys.readouterr().err
+
+
 def test_permute_function_length_not_a_power_exits_2():
     code, text = run("permute", "--expr", "kron(N,N)", "--function", "00001")
     assert code == 2 and text == ""
@@ -135,6 +145,14 @@ def test_permute_spectrum_file(tmp_path):
     code, text = run("permute", "--expr", "kron(N,N)", "--spectrum", str(path))
     assert code == 0
     assert "g: 021222120" in text
+
+
+def test_permute_spectrum_file_rejects_exponent_digits_not_below_p(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text("3 2\nexp:900000000\n")
+    code, text = run("permute", "--expr", "kron(N,N)", "--spectrum", str(path))
+    assert code == 2 and text == ""
+    assert "exponent digit 9 at position 0 is not below 3" in capsys.readouterr().err
 
 
 def test_permute_not_bent_stage_reported():

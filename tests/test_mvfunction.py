@@ -1,12 +1,19 @@
+import gc
 import random
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vcbent.cyclotomic import CycInt, xi
+from vcbent.bentlab import circular_spectrum
+from vcbent.cyclotomic import CycInt, NotAUnitRoot, RadixMismatch, xi
 from vcbent.mvfunction import (
     GF3Polynomial,
     MvFunction,
     NotASign,
+    SignVector,
     add_constant,
     digits_of,
     eval_polynomial,
@@ -18,6 +25,7 @@ from vcbent.mvfunction import (
     un_vec,
     vec_columns,
 )
+from vcbent.vctransform import Spectrum, forward, forward_fast
 
 X1X2 = MvFunction.from_digits(3, 2, "000012021")
 
@@ -56,6 +64,88 @@ def test_try_from_sign_inverse_and_failures():
     with pytest.raises(NotASign) as err:
         try_from_sign([-CycInt.one(3), CycInt.one(3), CycInt.one(3)])
     assert err.value.index == 0 and err.value.value == -CycInt.one(3)
+
+
+def test_sign_of_builds_no_object_per_point():
+    # the same measure as perfbench's cyclotomic.objects_per_point
+    rng = random.Random(3)
+    f = MvFunction(3, 10, [rng.randrange(3) for _ in range(3**10)])
+    for build in (sign_of, lambda f: forward_fast(sign_of(f))):
+        gc.collect()
+        before = sys.getallocatedblocks()
+        kept = build(f)
+        gc.collect()
+        assert (sys.getallocatedblocks() - before) / 3**10 < 0.01
+        del kept
+
+
+def _reference_decode(p, entries):
+    """The entrywise scan by CycInt.as_root_scalar: exponents, or the first failure."""
+    exponents = []
+    for i, e in enumerate(entries):
+        if not isinstance(e, CycInt) or e.p != p:
+            return RadixMismatch, i
+        try:
+            rs = e.as_root_scalar()
+        except NotAUnitRoot:
+            return NotASign, i, e
+        if rs.sign != 1:
+            return NotASign, i, e
+        exponents.append(rs.exponent)
+    return tuple(exponents)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except RadixMismatch as exc:
+        assert str(exc).startswith("entry ")
+        return RadixMismatch, int(str(exc).split()[1])
+    except NotASign as exc:
+        return NotASign, exc.index, exc.value
+
+
+_CORRUPTIONS = {
+    "zero": lambda p, k: CycInt.zero(p),
+    "negated": lambda p, k: -xi(p, k),  # still +ξ^(k+p/2) for even p
+    "doubled": lambda p, k: 2 * xi(p, k),
+    "huge": lambda p, k: xi(p, k) * 2**70,
+    "foreign radix": lambda p, k: xi(4 if p == 3 else 3, k),
+    "not a CycInt": lambda p, k: k,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sign_vector_decode_agrees_with_the_entrywise_reference(data):
+    p = data.draw(st.sampled_from((3, 4, 5, 6)), label="p")
+    n = data.draw(st.integers(0, 2), label="n")
+    values = data.draw(st.lists(st.integers(0, p - 1), min_size=p**n, max_size=p**n), label="f")
+    f = MvFunction(p, n, values)
+    entries = [xi(p, v) for v in values]
+    for _ in range(data.draw(st.integers(0, 3), label="corruptions")):
+        i = data.draw(st.integers(0, p**n - 1))
+        kind = data.draw(st.sampled_from(sorted(_CORRUPTIONS)))
+        entries[i] = _CORRUPTIONS[kind](p, values[i])
+
+    expected = _reference_decode(p, entries)
+    assert _outcome(lambda: SignVector(p, n, entries).exponents()) == expected
+    if isinstance(entries[0], CycInt) and entries[0].p == p:  # try_from_sign takes p from entry 0
+        assert _outcome(lambda: try_from_sign(entries).values) == expected
+    if all(isinstance(e, CycInt) and e.p == p for e in entries):
+        rows = np.array([e.coeffs for e in entries], dtype=object)
+        assert _outcome(lambda: SignVector.from_array(p, n, rows).exponents()) == expected
+    if expected[0] in (RadixMismatch, NotASign):
+        return
+
+    decoded = SignVector(p, n, entries)
+    g = MvFunction(p, n, expected)
+    assert decoded == sign_of(g) and hash(decoded) == hash(sign_of(g))
+    assert list(decoded) == list(sign_of(g)) == entries
+    assert try_from_sign(sign_of(g)) == g
+    assert (decoded == sign_of(f)) == (g == f)
+    assert decoded != Spectrum(p, n, entries)
+    assert circular_spectrum(f) == forward(sign_of(f)) == forward(SignVector(p, n, [xi(p, v) for v in values]))
 
 
 def test_add_constant_examples():

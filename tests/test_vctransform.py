@@ -290,6 +290,37 @@ def test_spectrum_file_round_trip():
         parse_spectrum_lines(["3 2", "1", "2"])
 
 
+def test_parse_spectrum_rejects_exponent_digits_not_below_p():
+    for p, n, digits, position in ((3, 2, "900000000", 0), (3, 2, "000030000", 4), (4, 2, "0" * 15 + "4", 15)):
+        with pytest.raises(ValueError, match=f"exponent digit [0-9] at position {position} is not below {p}"):
+            parse_spectrum_lines([f"{p} {n}", "exp:" + digits])
+    assert parse_spectrum_lines(["4 2", "exp:" + "3" * 16]) == Spectrum.from_strict_exponents(4, 2, [3] * 16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_spectrum_file_round_trips_through_both_forms(data):
+    p = data.draw(st.sampled_from((3, 4, 5, 6)), label="p")
+    n = data.draw(st.integers(0, 3), label="n")
+    size, d = p**n, degree(p)
+    coefficient = st.integers(-(2**70), 2**70)
+    rows = data.draw(st.lists(st.lists(coefficient, min_size=d, max_size=d), min_size=size, max_size=size))
+    # one coefficient above 2^63 puts the whole array on Python ints
+    rows[data.draw(st.integers(0, size - 1))][0] = 2**63 + data.draw(st.integers(0, 2**64))
+    s = Spectrum(p, n, [CycInt(p, row) for row in rows])
+    assert s.array.dtype == object
+    assert parse_spectrum_lines(format_spectrum_lines(s)) == s
+    wrapped = Spectrum.from_array(p, n, np.array(rows, dtype=object))
+    assert parse_spectrum_lines(format_spectrum_lines(wrapped)) == wrapped == s
+
+    even = data.draw(st.sampled_from((0, 2)), label="even n")
+    exponents = data.draw(st.lists(st.integers(0, p - 1), min_size=p**even, max_size=p**even))
+    strict = Spectrum.from_strict_exponents(p, even, exponents)
+    compact = [f"{p} {even}", "exp:" + "".join(map(str, exponents))]
+    assert parse_spectrum_lines(compact) == strict
+    assert parse_spectrum_lines(format_spectrum_lines(strict)) == strict
+
+
 def test_factorial_identity():
     # the straight-permutation count on 9 spectral positions
     assert math.factorial(9) == 362880
