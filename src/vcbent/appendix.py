@@ -97,6 +97,7 @@ def verify_appendix(rows: list[AppendixRow] | None = None) -> list[RowCheck]:
     if rows is None:
         rows = load_appendix_rows()
     class_cache: dict[int, tuple] = {}
+    w_cache: dict[tuple[str, str], object] = {}  # W of each distinct label α⊗β
     checks = []
     for row in rows:
         cached = class_cache.get(row.class_id)
@@ -122,7 +123,9 @@ def verify_appendix(rows: list[AppendixRow] | None = None) -> list[RowCheck]:
             permutation_ok = strict_exponents(apply(perm, s_seed)) == row.exponents
         except NotStrict:
             permutation_ok = False
-        w = conjugate_by_c(perm)
+        w = w_cache.get((row.alpha, row.beta))
+        if w is None:
+            w = w_cache[row.alpha, row.beta] = conjugate_by_c(perm)
         sign_ok = list(apply(w, f_seed)) == list(sign_of(row.g).entries)
         checks.append(RowCheck(row, spectrum_ok, membership_ok, permutation_ok, sign_ok))
     return checks

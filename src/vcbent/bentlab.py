@@ -5,6 +5,9 @@ sign ξ^f has |S(w)|² = p^n ("flat").  Flatness is necessary but NOT
 sufficient for a candidate spectrum vector: recovering a function also
 needs the inverse transform to divide exactly and the result to be a sign
 vector, and spectrum_is_bent() reports the first stage that fails.
+spectra_verdicts() decides a whole (B, p^n, d) stack of candidate spectra
+with one pass of each stage on the engine's batch axis; spectrum_is_bent()
+is its one-row case.
 
 Strict bentness additionally asks S(w) = p^(n/2)·ξ^t(w) for every w; the
 exponent function t is the dual.
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycInt, NotAUnitRoot, NotDivisible, _root_exponents
-from .mvfunction import MvFunction, NotASign, SignVector, add_constant, sign_of, try_from_sign
-from .vctransform import Spectrum, _guard, flat_mask, forward_fast, inverse_array
+from .cyclotomic import CycInt, NotAUnitRoot, NotDivisible, _check_coefficients, _root_exponents, degree
+from .mvfunction import MvFunction, add_constant, sign_of
+from .vctransform import Spectrum, _guard, flat_mask, forward_fast, transform
 
 
 class NotStrict(ValueError):
@@ -100,37 +103,73 @@ def is_bent(f: MvFunction) -> BentVerdict:
 
 def spectrum_is_bent(s: Spectrum) -> MvFunction:
     """Recover g with spectrum s, or raise NotBentSpectrum at the first bad stage."""
-    p, n, array = s.p, s.n, s.array
-    w = _first(~flat_mask(array, p, n))
-    if w is not None:
-        raise NotBentSpectrum("not-flat", w, CycInt(p, array[w]))
+    verdict = spectra_verdicts(s.array[None], s.p, s.n)[0]
+    if isinstance(verdict, NotBentSpectrum):
+        raise verdict
+    return verdict
+
+
+def spectra_verdicts(stack: np.ndarray, p: int, n: int) -> list[MvFunction | NotBentSpectrum]:
+    """Per row of a (B, p^n, d) coefficient stack: the function it recovers, or
+    the NotBentSpectrum that spectrum_is_bent would raise for it (returned, not raised).
+
+    Each stage runs once on the rows still standing: the flatness mask, the
+    size guard (when any row is flat), one inverse transform, the exact
+    division by p^n and the +ξ^k decode.  A failing row keeps its first bad
+    index and that entry's value at the stage, as spectrum_is_bent reports them.
+    """
+    _check_coefficients(stack, (len(stack), p**n, degree(p)))
+    verdicts: list = [None] * len(stack)
+    rows = np.arange(len(stack))
+    keep = _drop_failures(verdicts, rows, ~flat_mask(stack, p, n), stack, "not-flat", p)
+    rows, stack = rows[keep], stack[keep]
+    if not rows.size:
+        return verdicts
     _guard(p, n, None)
-    try:
-        signs = inverse_array(array, p, n)
-    except NotDivisible as exc:
-        raise NotBentSpectrum("not-divisible", exc.index, exc.value) from exc
-    try:
-        return try_from_sign(SignVector.from_array(p, n, signs))
-    except NotASign as exc:
-        raise NotBentSpectrum("not-a-sign", exc.index, exc.value) from exc
+    images = transform(stack, p, n, conjugate=False)
+    keep = _drop_failures(verdicts, rows, (images % p**n != 0).any(axis=-1), images, "not-divisible", p)
+    rows, signs = rows[keep], images[keep] // p**n
+    exponents, ok = _root_exponents(signs, p)
+    keep = _drop_failures(verdicts, rows, ~ok, signs, "not-a-sign", p)
+    for r, values in zip(rows[keep].tolist(), exponents[keep].tolist()):
+        verdicts[r] = MvFunction(p, n, values)
+    return verdicts
+
+
+def _drop_failures(verdicts: list, rows: np.ndarray, bad: np.ndarray, values: np.ndarray, stage: str, p: int):
+    """Record a NotBentSpectrum for each row of bad with a True entry; index the rows that pass."""
+    failed = bad.any(axis=-1)
+    if not failed.any():
+        return slice(None)
+    first = bad.argmax(axis=-1)
+    for i in np.flatnonzero(failed).tolist():
+        w = int(first[i])
+        verdicts[rows[i]] = NotBentSpectrum(stage, w, CycInt(p, values[i, w]))
+    return ~failed
 
 
 def strict_exponents(s: Spectrum) -> tuple[int, ...]:
     """t with S(w) = p^(n/2)·ξ^t(w) for all w; NotStrict otherwise."""
-    if s.n % 2:
-        raise NotStrict(f"odd variable count {s.n}")
-    scale = s.p ** (s.n // 2)
-    array = s.array
-    exponents, ok = _root_exponents(array // scale, s.p)
-    w = _first(~ok | (array % scale != 0).any(axis=-1))
-    if w is not None:
-        e = CycInt(s.p, array[w])
+    return tuple(strict_exponent_rows(s.array[None], s.p, s.n)[0].tolist())
+
+
+def strict_exponent_rows(stack: np.ndarray, p: int, n: int) -> np.ndarray:
+    """strict_exponents of every row of a (B, p^n, d) stack, as a (B, p^n) array;
+    NotStrict names the first bad entry of the first row that has one."""
+    if n % 2:
+        raise NotStrict(f"odd variable count {n}")
+    scale = p ** (n // 2)
+    exponents, ok = _root_exponents(stack // scale, p)
+    bad = ~ok | (stack % scale != 0).any(axis=-1)
+    if bad.any():
+        b, w = divmod(int(bad.argmax()), p**n)
+        e = CycInt(p, stack[b, w])
         try:
             rs = e.div_exact_int(scale).as_root_scalar()
         except (NotDivisible, NotAUnitRoot) as exc:
             raise NotStrict(f"entry {w} = {e} is not {scale}·ξ^k", (w, e)) from exc
         raise NotStrict(f"entry {w} = {e} is {scale}·(-ξ^{rs.exponent})", (w, e))
-    return tuple(exponents.tolist())
+    return exponents
 
 
 def dual(f: MvFunction) -> MvFunction:

@@ -8,16 +8,20 @@ Maiorana construction f = vec⟨M·Q ⊕ (1⊗vᵀ)⟩ with the exponent matrix
 M[i, j] = ⟨i·j⟩, the tensor-sum spectrum law S_{f1⊞f2} = S_{f1} ⊗ S_{f2},
 and a survey of block-diagonal permutations (flatness-preserving but not
 bentness-preserving).
+
+Class expansion and the survey stack the permuted seed spectra with
+genperm.apply_stack and decide each stack in one bentlab.spectra_verdicts call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .bentlab import NotBentSpectrum, circular_spectrum, is_bent, spectrum_is_bent, strict_exponents
-from .genperm import GAMMA_NAMES, GenPerm, apply, block_diag, gamma, kron
+from .bentlab import NotBentSpectrum, circular_spectrum, is_bent, spectra_verdicts, strict_exponent_rows
+from .genperm import GAMMA_NAMES, GenPerm, apply, apply_stack, block_diag, gamma, kron
 from .mvfunction import (
     GF3Polynomial,
     MvFunction,
@@ -71,13 +75,17 @@ class CatalogEntry(NamedTuple):
 
 def kron_perm_catalog() -> list[CatalogEntry]:
     """The 35 straight α⊗β, α, β ∈ Γ, in (α, β) lexicographic catalog order."""
-    out = []
-    for alpha in GAMMA_NAMES:
-        for beta in GAMMA_NAMES:
-            if alpha == "I" and beta == "I":
-                continue
-            out.append(CatalogEntry(alpha, beta, kron(gamma(alpha), gamma(beta))))
-    return out
+    return list(_kron_catalog())
+
+
+@lru_cache(maxsize=None)
+def _kron_catalog() -> tuple[CatalogEntry, ...]:
+    return tuple(
+        CatalogEntry(alpha, beta, kron(gamma(alpha), gamma(beta)))
+        for alpha in GAMMA_NAMES
+        for beta in GAMMA_NAMES
+        if (alpha, beta) != ("I", "I")
+    )
 
 
 @dataclass(frozen=True)
@@ -137,22 +145,21 @@ def generate_class(seed: MvFunction, class_id: int | None = None) -> ClassRecord
         raise DegenerateSeed(f"seed {seed.digit_string()} is not bent")
     if not verdict.is_strict_bent:
         raise DegenerateSeed(f"seed {seed.digit_string()} is bent but not strict")
-    s_seed = circular_spectrum(seed)
+    catalog = kron_perm_catalog()
+    stack = apply_stack([entry.perm for entry in catalog], circular_spectrum(seed))
+    verdicts = spectra_verdicts(stack, seed.p, seed.n)
+    exponents = strict_exponent_rows(stack, seed.p, seed.n).tolist()
     found: dict[MvFunction, tuple[str, str, tuple[int, ...]]] = {}
-    for entry in kron_perm_catalog():
-        permuted = apply(entry.perm, s_seed)
-        try:
-            g = spectrum_is_bent(permuted)
-        except NotBentSpectrum as exc:  # impossible for a bent seed
-            raise DegenerateSeed(
-                f"catalog permutation {entry.alpha}⊗{entry.beta} broke bentness: {exc}"
-            ) from exc
-        found.setdefault(g, (entry.alpha, entry.beta, strict_exponents(permuted)))
+    for entry, g, exps in zip(catalog, verdicts, exponents):
+        if isinstance(g, NotBentSpectrum):  # impossible for a bent seed
+            raise DegenerateSeed(f"catalog permutation {entry.alpha}⊗{entry.beta} broke bentness: {g}") from g
+        found.setdefault(g, (entry.alpha, entry.beta, tuple(exps)))
     if len(found) != 18 or seed not in found:
         raise DegenerateSeed(
             f"seed {seed.digit_string()} produced {len(found)} distinct functions, expected 18"
         )
-    rows = [ClassRow(1, seed, "I", "I", strict_exponents(s_seed))]
+    # the row that recovers the seed holds the seed's own spectrum
+    rows = [ClassRow(1, seed, "I", "I", found[seed][2])]
     others = sorted((g for g in found if g != seed), key=lambda g: g.values)
     for i, g in enumerate(others, start=2):
         alpha, beta, exps = found[g]
@@ -292,23 +299,26 @@ def blockdiag_survey(seed: MvFunction) -> BlockdiagSurvey:
     """Apply every blockdiag(a, b, c), a, b, c ∈ Γ, to the seed spectrum."""
     if seed.p != 3 or seed.n != 2:
         raise ValueError("survey is defined for two-place ternary functions")
-    catalog = [(name, gamma(name)) for name in GAMMA_NAMES]
-    s_seed = circular_spectrum(seed)
-    report = BlockdiagSurvey(seed=seed)
+    names, perms = _blockdiag_catalog()
+    verdicts = spectra_verdicts(apply_stack(perms, circular_spectrum(seed)), 3, 2)
+    report = BlockdiagSurvey(seed=seed, total=len(verdicts))
     seen: set[MvFunction] = set()
-    for (na, a), (nb, b), (nc, c) in product(catalog, repeat=3):
-        report.total += 1
-        permuted = apply(block_diag([a, b, c]), s_seed)
-        try:
-            g = spectrum_is_bent(permuted)
-        except NotBentSpectrum as exc:
+    for triple, g in zip(names, verdicts):
+        if isinstance(g, NotBentSpectrum):
             report.flat_not_bent += 1
             if report.first_not_bent is None:
-                report.first_not_bent = ((na, nb, nc), exc.stage)
+                report.first_not_bent = (triple, g.stage)
             continue
         report.bent += 1
         seen.add(g)
         if report.first_bent is None:
-            report.first_bent = ((na, nb, nc), g)
+            report.first_bent = (triple, g)
     report.distinct_bent = len(seen)
     return report
+
+
+@lru_cache(maxsize=None)
+def _blockdiag_catalog() -> tuple[tuple[tuple[str, str, str], ...], tuple[GenPerm, ...]]:
+    """The 216 blockdiag(a, b, c), a, b, c ∈ Γ, in lexicographic order, with their names."""
+    names = tuple(product(GAMMA_NAMES, repeat=3))
+    return names, tuple(block_diag([gamma(name) for name in triple]) for triple in names)

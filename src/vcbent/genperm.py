@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import (
-    CycInt, NotAUnitRoot, NotDivisible, RadixMismatch, RootScalar, _check_coefficients, _cyc_list, _frozen,
+    CycInt, RadixMismatch, RootScalar, _check_coefficients, _cyc_list, _frozen,
     _root_exponents, _rows_array, degree, root_table,
 )
 from .mvfunction import _length_to_n
@@ -303,18 +303,37 @@ def diag_from_flat_spectrum(s: Spectrum) -> GenPerm:
     if s.n % 2:
         raise NotFlat(f"odd variable count {s.n}: p^(n/2) is not an integer")
     scale_int = s.p ** (s.n // 2)
-    scalars = []
-    for w, e in enumerate(s.entries):
-        try:
-            scalars.append(e.div_exact_int(scale_int).as_root_scalar())
-        except (NotDivisible, NotAUnitRoot) as exc:
-            raise NotFlat(f"entry {w} = {e} is not {scale_int}·(±ξ^k)") from exc
-    return GenPerm.from_diag(s.p, scalars)
+    array = s.array
+    signs, exponents, ok = _unit_roots(array // scale_int, s.p)
+    bad = ~ok | (array % scale_int != 0).any(axis=-1)
+    if bad.any():
+        w = int(bad.argmax())
+        raise NotFlat(f"entry {w} = {CycInt(s.p, array[w])} is not {scale_int}·(±ξ^k)")
+    return GenPerm.from_diag(s.p, (RootScalar(s.p, sg, k) for sg, k in zip(signs.tolist(), exponents.tolist())))
 
 
 def apply(m, vec):
     """Apply a GenPerm or DenseCycMatrix to a vector or Spectrum."""
     return m.apply(vec)
+
+
+def apply_stack(perms: Sequence[GenPerm], s: Spectrum) -> np.ndarray:
+    """The (B, size, d) coefficients of perm.apply(s) for each of B perms.
+
+    One gather s.array[cols] over the (B, size) column array, then one
+    entrywise mul_array by the rotations sign·ξ^k, so any scalars are exact.
+    """
+    for perm in perms:
+        if perm.p != s.p:
+            raise RadixMismatch(f"radix mismatch: {perm.p} vs {s.p}")
+        if perm.size != len(s):
+            raise ValueError(f"size mismatch: {perm.size} vs {len(s)}")
+    shape = (len(perms), len(s))
+    cols = np.array([perm.cols for perm in perms], dtype=np.intp).reshape(shape)
+    scalars = np.array([[(t.sign, t.exponent) for t in perm.scalars] for perm in perms], dtype=np.int64)
+    scalars = scalars.reshape(*shape, 2)
+    rotations = scalars[..., :1] * root_table(s.p)[scalars[..., 1]]
+    return mul_array(rotations, s.array[cols], s.p)
 
 
 # -- conjugation ---------------------------------------------------------------
@@ -342,14 +361,19 @@ def _downcast(dense: DenseCycMatrix) -> "GenPerm | DenseCycMatrix":
     if dense.denom != 1 or (nonzero.sum(axis=0) != 1).any() or (nonzero.sum(axis=1) != 1).any():
         return dense
     cols = nonzero.argmax(axis=1)
-    cells = dense.num[np.arange(dense.size), cols]
-    # +ξ^k first, as CycInt.as_root_scalar prefers sign +1 where both fit (even p)
-    plus, is_plus = _root_exponents(cells, dense.p)
-    minus, is_minus = _root_exponents(-cells, dense.p)
-    if not (is_plus | is_minus).all():
+    signs, exponents, ok = _unit_roots(dense.num[np.arange(dense.size), cols], dense.p)
+    if not ok.all():
         return dense
-    signs, exponents = np.where(is_plus, 1, -1).tolist(), np.where(is_plus, plus, minus).tolist()
-    return GenPerm(dense.p, cols.tolist(), [RootScalar(dense.p, s, k) for s, k in zip(signs, exponents)])
+    scalars = [RootScalar(dense.p, s, k) for s, k in zip(signs.tolist(), exponents.tolist())]
+    return GenPerm(dense.p, cols.tolist(), scalars)
+
+
+def _unit_roots(cells: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sign, k, ok): cells[x] = sign·ξ^k exactly where ok[x], the array decode of ±ξ^k."""
+    # +ξ^k first, as CycInt.as_root_scalar prefers sign +1 where both fit (even p)
+    plus, is_plus = _root_exponents(cells, p)
+    minus, is_minus = _root_exponents(-cells, p)
+    return np.where(is_plus, 1, -1), np.where(is_plus, plus, minus), is_plus | is_minus
 
 
 def is_generalized_permutation(m) -> bool:
@@ -388,11 +412,21 @@ def conjugate_blockdiag(blocks: Sequence[GenPerm]) -> "GenPerm | DenseCycMatrix"
     describe the same matrix; the asymmetric cases fix this one.)
     W(2) is dense with 3^4 entries, so the size guard is applied to 3^4.
     """
+    check_blockdiag(blocks)
+    return blockdiag_kron_sum([conjugate_by_c(blk) for blk in blocks])
+
+
+def check_blockdiag(blocks: Sequence[GenPerm]) -> None:
+    """Three 3×3 blocks over p = 3, and W(2)'s 3^4 entries within the size guard."""
     if len(blocks) != 3 or any(b.size != 3 or b.p != 3 for b in blocks):
         raise ValueError("expected exactly 3 generalized permutations of size 3 (p=3)")
     _guard(3, 4, None)
+
+
+def blockdiag_kron_sum(images: Sequence) -> "GenPerm | DenseCycMatrix":
+    """Σ_i c_diag_c_component(i) ⊗ W_i, given the blocks' own conjugates W_i."""
     total = None
-    for i, blk in enumerate(blocks):
-        term = c_diag_c_component(i).kron(as_dense(conjugate_by_c(blk)))
+    for i, w in enumerate(images):
+        term = c_diag_c_component(i).kron(as_dense(w))
         total = term if total is None else total.add(term)
     return _downcast(total)

@@ -26,8 +26,9 @@ from .genperm import (
     GenPerm,
     as_dense,
     block_diag,
+    blockdiag_kron_sum,
+    check_blockdiag,
     compose,
-    conjugate_blockdiag,
     conjugate_by_c,
     conjugate_table,
     gamma,
@@ -218,6 +219,7 @@ def render(node: Expr) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+@lru_cache(maxsize=None)
 def _atom_perm(name: str) -> GenPerm:
     if name == "Z":
         return pauli_z(3)
@@ -249,6 +251,12 @@ def _atom_conjugate(name: str) -> GenPerm:
     return conjugate_table(name)
 
 
+@lru_cache(maxsize=None)
+def _diag3_conjugate(entries: tuple) -> "GenPerm | DenseCycMatrix":
+    """W of a 3×3 diagonal of ±ξ^k entries; at most 6^3 of them."""
+    return conjugate_by_c(GenPerm.from_diag(3, entries))
+
+
 def conjugate_expr(node: Expr) -> "GenPerm | DenseCycMatrix":
     """Structural route to W; agrees exactly with conjugate_by_c(evaluate(node))."""
     if isinstance(node, Atom):
@@ -268,13 +276,19 @@ def conjugate_expr(node: Expr) -> "GenPerm | DenseCycMatrix":
         left, right = as_dense(left), as_dense(right)
         return _downcast(left.kron(right) if is_kron else left.matmul(right))
     if isinstance(node, BlockDiag):
-        return conjugate_blockdiag([evaluate(i) for i in node.items])
+        return _conjugate_blocks(node.items)
     if isinstance(node, Diag):
-        size = len(node.entries)
-        if size == 9:
-            blocks = [
-                GenPerm.from_diag(3, node.entries[3 * i : 3 * i + 3]) for i in range(3)
-            ]
-            return conjugate_blockdiag(blocks)
+        if len(node.entries) == 9:
+            return _conjugate_blocks([Diag(node.entries[3 * i : 3 * i + 3]) for i in range(3)])
+        if len(node.entries) == 3:
+            _guard(3, 2, None)  # conjugate_by_c's guard, run before the cached call
+            return _diag3_conjugate(node.entries)
         return conjugate_by_c(GenPerm.from_diag(3, node.entries))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _conjugate_blocks(items) -> "GenPerm | DenseCycMatrix":
+    """W(2) of blockdiag(items): the blocks' W from their structure, summed as conjugate_blockdiag does."""
+    # the evaluated blocks are only sized, so the checks fail as conjugate_blockdiag's do
+    check_blockdiag([evaluate(i) for i in items])
+    return blockdiag_kron_sum([conjugate_expr(i) for i in items])

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import (
-    CycInt, CycVector, NotDivisible, _conj_basis, _cyc_list, _frozen, _root_coeffs, degree, root_table,
+    CycInt, CycVector, NotDivisible, _cyc_list, _frozen, _root_coeffs, degree, root_table,
 )
 from .mvfunction import _length_to_n, digits_of
 
@@ -135,12 +135,7 @@ def forward_fast(vec, limit: int | None = None) -> Spectrum:
 def inverse(vec, limit: int | None = None) -> list[CycInt]:
     """F = p^(-n)·C(n)·S with exact division; NotDivisible when S is not an image."""
     p, n, array = _as_array(vec, True, limit)
-    return _cyc_list(p, inverse_array(array, p, n))
-
-
-def inverse_array(array: np.ndarray, p: int, n: int) -> np.ndarray:
-    """p^(-n)·C(n)·S on a (p^n, d) array; NotDivisible names the first bad coordinate."""
-    return divide_exact(transform(array, p, n, conjugate=False), p**n, p)
+    return _cyc_list(p, divide_exact(transform(array, p, n, conjugate=False), p**n, p))
 
 
 def divide_exact(array: np.ndarray, scale: int, p: int) -> np.ndarray:
@@ -240,18 +235,27 @@ def mul_array(
     return outer.reshape(*outer.shape[:-2], d * d) @ _product_table(p)
 
 
+@lru_cache(maxsize=None)
+def _abs_table(p: int) -> np.ndarray:
+    """Row b·d + k: the coefficients of ξ^(b-k) = ξ^b·conj(ξ^k), each -1, 0 or 1."""
+    roots, d = _root_coeffs(p), degree(p)
+    return _frozen(np.array([roots[(b - k) % p] for b in range(d) for k in range(d)], dtype=np.int64))
+
+
 def abs_squared(array: np.ndarray, p: int) -> np.ndarray:
-    """S·conj(S) per entry of a (..., d) array; exact, like CycInt.abs_squared."""
-    # conj(S) at most doubles a coefficient
-    array = array.astype(kernel_dtype(2 * _maxabs(array)), copy=False)
-    return mul_array(array @ np.array(_conj_basis(p)), array, p)
+    """S·conj(S) per entry of a (..., d) array; exact, like CycInt.abs_squared.
+    The d×d coefficient products fold by the ξ^(b-k) table, d² terms per output."""
+    d = degree(p)
+    if array.dtype != object:
+        array = array.astype(kernel_dtype(d * d * _maxabs(array) ** 2), copy=False)
+    outer = array[..., :, None] * array[..., None, :]
+    return outer.reshape(*outer.shape[:-2], d * d) @ _abs_table(p)
 
 
 def flat_mask(array: np.ndarray, p: int, n: int) -> np.ndarray:
     """|S(w)|² = p^n, per entry of a (..., p^n, d) spectrum array."""
-    target = np.zeros(degree(p), dtype=np.int64)
-    target[0] = p**n
-    return (abs_squared(array, p) == target).all(axis=-1)
+    squared = abs_squared(array, p)
+    return (squared[..., 0] == p**n) & (squared[..., 1:] == 0).all(axis=-1)
 
 
 # -- spectrum file format ------------------------------------------------------

@@ -1,7 +1,11 @@
 import json
 import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcbent.bentlab import (
     NotAFunction,
@@ -11,13 +15,16 @@ from vcbent.bentlab import (
     dual,
     is_bent,
     negate_classify,
+    spectra_verdicts,
     spectrum_is_bent,
+    strict_exponent_rows,
     strict_exponents,
 )
-from vcbent.cyclotomic import CycInt, xi
+from vcbent.cyclotomic import CycInt, NotDivisible, degree, xi
 from vcbent.genperm import apply, block_diag, gamma, kron
-from vcbent.mvfunction import MvFunction, sign_of
-from vcbent.vctransform import SizeLimitExceeded, Spectrum, forward, is_flat
+from vcbent.mvfunction import MvFunction, NotASign, scalar_product, sign_of, tensor_sum, try_from_sign
+from vcbent.oracle import all_bent
+from vcbent.vctransform import SizeLimitExceeded, Spectrum, forward, inverse, is_flat
 
 X1X2 = MvFunction.from_digits(3, 2, "000012021")
 W = xi(3)
@@ -179,3 +186,149 @@ def test_verdict_entry_points_are_size_guarded(monkeypatch):
     with pytest.raises(SizeLimitExceeded):
         circular_spectrum(f)
     assert is_bent(X1X2).is_bent  # 3^2 is within the limit
+
+
+# -- batched verdicts ------------------------------------------------------------
+
+VERDICT_SIZES = [(p, n) for p in (3, 4, 5, 6) for n in (1, 2, 3, 4) if p**n <= 81]
+
+
+@lru_cache(maxsize=None)
+def one_place_bent(p: int) -> tuple[MvFunction, ...]:
+    return tuple(sorted(all_bent(p, 1)))
+
+
+def random_bent(rng: random.Random, p: int, n: int) -> MvFunction | None:
+    """⟨x, π(y)⟩ + g(y) on Z_p^m × Z_p^m (bent for every p), tensor-summed with a
+    one-place bent function when n is odd; None where no such function exists."""
+    m = n // 2
+    half = p**m
+    perm = rng.sample(range(half), half)
+    g = [rng.randrange(p) for _ in range(half)]
+    values = [(scalar_product(x, perm[y], p, m) + g[y]) % p for x in range(half) for y in range(half)]
+    f = MvFunction(p, 2 * m, values)
+    if n % 2:
+        ones = one_place_bent(p)
+        if not ones:
+            return None
+        f = tensor_sum(f, rng.choice(ones))
+    return f
+
+
+def random_values(rng: random.Random, p: int, n: int) -> MvFunction:
+    return MvFunction(p, n, [rng.randrange(p) for _ in range(p**n)])
+
+
+def candidate_row(kind: str, rng: random.Random, p: int, n: int) -> np.ndarray:
+    """One (p^n, d) candidate spectrum of the given kind, as Python ints."""
+    d, size = degree(p), p**n
+    f = random_bent(rng, p, n)
+    bent = circular_spectrum(f).array.astype(object) if f is not None else None
+    if kind == "bent" and bent is not None:
+        return bent
+    if kind == "rotated" and bent is not None:  # still flat; the inverse rarely divides
+        out = bent.copy()
+        w = rng.randrange(size)
+        out[w] = CycInt(p, out[w]).mul_root(rng.randrange(1, p)).coeffs if rng.random() < 0.7 else -out[w]
+        return out
+    if kind == "not-a-sign":
+        if p % 2 and bent is not None:  # -ξ^f: flat and divisible, and -ξ^k is no sign for odd p
+            return -bent
+        if n % 2 == 0 or p == 4:  # C*·(√(p^n)·e_0): every entry √(p^n)
+            out = np.zeros((size, d), dtype=object)
+            out[:, 0] = 2**n if p == 4 else p ** (n // 2)
+            return out
+    if kind == "coefficients":
+        return np.array([[rng.randint(-9, 9) for _ in range(d)] for _ in range(size)], dtype=object)
+    return circular_spectrum(random_values(rng, p, n)).array.astype(object)
+
+
+@st.composite
+def candidate_stacks(draw):
+    p, n = draw(st.sampled_from(VERDICT_SIZES))
+    rng = draw(st.randoms(use_true_random=False))
+    kinds = ("bent", "rotated", "not-a-sign", "coefficients", "function")
+    rows = [candidate_row(kind, rng, p, n) for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6))]
+    stack = np.stack(rows)
+    if draw(st.booleans()):  # a coefficient above 2^62 keeps the stack on Python ints
+        stack[rng.randrange(len(rows)), rng.randrange(p**n), 0] = 2**62 + rng.randrange(1, 2**40)
+        return p, n, stack
+    return p, n, stack.astype(np.int64)
+
+
+def verdict_key(verdict) -> tuple:
+    if isinstance(verdict, MvFunction):
+        return ("bent", verdict)
+    return (verdict.stage, verdict.witness[0], verdict.witness[1])
+
+
+def staged_reference(s: Spectrum) -> tuple:
+    """The verdict entry by entry: CycInt flatness, the exact inverse, the sign decode."""
+    target = CycInt.from_int(s.p, s.p**s.n)
+    for w, e in enumerate(s.entries):
+        if e.abs_squared() != target:
+            return ("not-flat", w, e)
+    try:
+        signs = inverse(s)
+    except NotDivisible as exc:
+        return ("not-divisible", exc.index, exc.value)
+    try:
+        return ("bent", try_from_sign(signs))
+    except NotASign as exc:
+        return ("not-a-sign", exc.index, exc.value)
+
+
+def one_row_verdict(s: Spectrum):
+    try:
+        return spectrum_is_bent(s)
+    except NotBentSpectrum as exc:
+        return exc
+
+
+@settings(max_examples=80, deadline=None)
+@given(candidate_stacks())
+def test_spectra_verdicts_equal_one_row_verdicts_and_the_staged_reference(case):
+    p, n, stack = case
+    verdicts = spectra_verdicts(stack, p, n)
+    assert len(verdicts) == len(stack)
+    for row, verdict in zip(stack, verdicts):
+        s = Spectrum.from_array(p, n, row)
+        want = staged_reference(s)
+        assert verdict_key(verdict) == want
+        assert verdict_key(one_row_verdict(s)) == want
+
+
+def test_spectra_verdicts_report_every_stage_in_one_call():
+    rng = random.Random(8)
+    kinds = ("bent", "function", "rotated", "not-a-sign", "bent", "rotated", "coefficients")
+    stack = np.stack([candidate_row(kind, rng, 3, 2) for kind in kinds]).astype(np.int64)
+    verdicts = spectra_verdicts(stack, 3, 2)
+    stages = [verdict_key(v)[0] for v in verdicts]
+    assert set(stages) == {"bent", "not-flat", "not-divisible", "not-a-sign"}
+    for row, verdict in zip(stack, verdicts):
+        assert verdict_key(verdict) == staged_reference(Spectrum.from_array(3, 2, row))
+    assert spectra_verdicts(stack[:0], 3, 2) == []
+
+
+def test_spectra_verdicts_guard_runs_after_the_flatness_test(monkeypatch):
+    rng = random.Random(9)
+    flat = circular_spectrum(random_bent(rng, 3, 2)).array
+    rough = circular_spectrum(MvFunction.constant(3, 0, 2)).array
+    monkeypatch.setenv("BENT_SIZE_LIMIT", "8")
+    verdicts = spectra_verdicts(np.stack([rough, rough]), 3, 2)
+    assert [v.stage for v in verdicts] == ["not-flat", "not-flat"]
+    with pytest.raises(SizeLimitExceeded):
+        spectra_verdicts(np.stack([rough, flat]), 3, 2)
+    with pytest.raises(SizeLimitExceeded):
+        spectrum_is_bent(Spectrum.from_array(3, 2, flat))
+
+
+def test_strict_exponent_rows_match_strict_exponents_per_row():
+    seeds = [MvFunction.from_digits(3, 2, d) for d in ("000012021", "200110020", "020011002")]
+    stack = np.stack([circular_spectrum(f).array for f in seeds])
+    rows = strict_exponent_rows(stack, 3, 2)
+    assert [tuple(r) for r in rows.tolist()] == [strict_exponents(circular_spectrum(f)) for f in seeds]
+    non_strict = circular_spectrum(MvFunction.from_digits(3, 2, "022211211")).array  # S(0) = -3
+    with pytest.raises(NotStrict) as err:
+        strict_exponent_rows(np.stack([stack[0], non_strict]), 3, 2)
+    assert err.value.witness == (0, CycInt(3, (-3, 0)))

@@ -1,9 +1,14 @@
 import random
+from dataclasses import fields
+from itertools import product
 
 import pytest
 
-from vcbent.bentlab import circular_spectrum, is_bent, strict_exponents
+from vcbent.bentlab import NotBentSpectrum, circular_spectrum, is_bent, spectrum_is_bent, strict_exponents
 from vcbent.generator import (
+    BlockdiagSurvey,
+    ClassRecord,
+    ClassRow,
     DegenerateSeed,
     MaioranaSpec,
     REFERENCE_SEEDS,
@@ -18,7 +23,7 @@ from vcbent.generator import (
     reference_seed,
     tensor_sum_spectrum_law,
 )
-from vcbent.genperm import apply, gamma, kron
+from vcbent.genperm import GAMMA_NAMES, apply, block_diag, gamma, kron
 from vcbent.mvfunction import MvFunction, add_constant, eval_polynomial, tensor_sum
 from vcbent.vctransform import SizeLimitExceeded, is_flat, spectrum_kron
 
@@ -235,3 +240,53 @@ def test_blockdiag_any_first_block_duplicates():
         for name in names
     }
     assert len(set(images.values())) == 1
+
+
+def survey_one_spectrum_at_a_time(seed):
+    """blockdiag_survey as a loop of GenPerm.apply and spectrum_is_bent per triple."""
+    s_seed = circular_spectrum(seed)
+    report = BlockdiagSurvey(seed=seed)
+    seen = set()
+    for names in product(GAMMA_NAMES, repeat=3):
+        report.total += 1
+        try:
+            g = spectrum_is_bent(apply(block_diag([gamma(name) for name in names]), s_seed))
+        except NotBentSpectrum as exc:
+            report.flat_not_bent += 1
+            if report.first_not_bent is None:
+                report.first_not_bent = (names, exc.stage)
+            continue
+        report.bent += 1
+        seen.add(g)
+        if report.first_bent is None:
+            report.first_bent = (names, g)
+    report.distinct_bent = len(seen)
+    return report
+
+
+def class_one_spectrum_at_a_time(seed, class_id):
+    """generate_class as a loop of GenPerm.apply, spectrum_is_bent and strict_exponents."""
+    s_seed = circular_spectrum(seed)
+    found = {}
+    for entry in kron_perm_catalog():
+        permuted = apply(entry.perm, s_seed)
+        found.setdefault(spectrum_is_bent(permuted), (entry.alpha, entry.beta, strict_exponents(permuted)))
+    rows = [ClassRow(1, seed, "I", "I", strict_exponents(s_seed))]
+    others = sorted((g for g in found if g != seed), key=lambda g: g.values)
+    rows += [ClassRow(i, g, *found[g]) for i, g in enumerate(others, start=2)]
+    return ClassRecord(class_id, seed, tuple(rows))
+
+
+@pytest.mark.parametrize("class_id", range(1, 10))
+def test_batched_generation_equals_the_per_spectrum_loop(class_id):
+    seed = reference_seed(class_id)
+    survey, want = blockdiag_survey(seed), survey_one_spectrum_at_a_time(seed)
+    for field in fields(BlockdiagSurvey):
+        assert getattr(survey, field.name) == getattr(want, field.name), field.name
+    assert survey.first_bent is not None and survey.first_not_bent is not None
+    record, want = generate_class(seed, class_id), class_one_spectrum_at_a_time(seed, class_id)
+    assert (record.class_id, record.seed) == (want.class_id, want.seed)
+    assert len(record.rows) == len(want.rows) == 18
+    for row, want_row in zip(record.rows, want.rows):
+        for field in fields(ClassRow):
+            assert getattr(row, field.name) == getattr(want_row, field.name), field.name

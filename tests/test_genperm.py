@@ -6,13 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vcbent.bentlab import circular_spectrum
-from vcbent.cyclotomic import CycInt, NotDivisible, RadixMismatch, RootScalar, degree, xi
+from vcbent.cyclotomic import CycInt, NotAUnitRoot, NotDivisible, RadixMismatch, RootScalar, degree, xi
 from vcbent.genperm import (
     DenseCycMatrix,
     GAMMA_NAMES,
     GenPerm,
     NotFlat,
     apply,
+    apply_stack,
     as_dense,
     block_diag,
     c_diag_c_component,
@@ -344,3 +345,82 @@ def test_genperm_validation():
         GenPerm(3, (0, 1, 2), [RootScalar(3)] * 2)
     with pytest.raises(ValueError):
         compose(gamma("I"), identity(3, 9))
+
+
+# (p, n) with p^n ≤ 36
+STACK_SIZES = [(p, n) for p in (3, 4, 5, 6) for n in (1, 2, 3) if p**n <= 36]
+
+
+@st.composite
+def permutation_stacks(draw):
+    """Signed and rotated generalized permutations of one size, and a spectrum
+    whose coefficients are small or above 2^63 (Python ints)."""
+    p, n = draw(st.sampled_from(STACK_SIZES))
+    size = p**n
+    scalar = st.builds(RootScalar, st.just(p), st.sampled_from([1, -1]), st.integers(0, p - 1))
+    perm = st.builds(
+        lambda cols, scalars: GenPerm(p, cols, scalars),
+        st.permutations(range(size)),
+        st.lists(scalar, min_size=size, max_size=size),
+    )
+    perms = draw(st.lists(perm, min_size=1, max_size=5))
+    rng = draw(st.randoms(use_true_random=False))
+    bound = draw(st.sampled_from([20, 2**70]))
+    s = Spectrum(p, n, [CycInt(p, [rng.randint(-bound, bound) for _ in range(degree(p))]) for _ in range(size)])
+    return perms, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_stacks())
+def test_apply_stack_equals_apply_per_permutation(case):
+    perms, s = case
+    stack = apply_stack(perms, s)
+    assert stack.shape == (len(perms), len(s), degree(s.p))
+    for perm, row in zip(perms, stack):
+        assert Spectrum.from_array(s.p, s.n, row) == perm.apply(s)
+
+
+def test_apply_stack_refuses_foreign_sizes_and_radices():
+    s = circular_spectrum(X1X2)
+    with pytest.raises(ValueError, match="size mismatch: 3 vs 9"):
+        apply_stack([kron(gamma("N"), gamma("X")), gamma("N")], s)
+    with pytest.raises(RadixMismatch):
+        apply_stack([pauli_z(4)], Spectrum(3, 1, [ONE] * 3))
+
+
+@st.composite
+def scaled_root_spectra(draw):
+    """p^(n/2)·(±ξ^k) entries, a few of them spoiled: not divisible, or not a unit root."""
+    p, n = draw(st.sampled_from([(3, 2), (4, 2), (5, 2), (6, 2), (3, 4)]))
+    scale_int = p ** (n // 2)
+    size = p**n
+    rng = draw(st.randoms(use_true_random=False))
+    entries = [CycInt.root(p, rng.randrange(p)) * (scale_int * rng.choice([1, -1])) for _ in range(size)]
+    for _ in range(draw(st.integers(0, 3))):
+        w = rng.randrange(size)
+        entries[w] = entries[w] + CycInt.from_int(p, rng.choice([1, scale_int, 2 * scale_int]))
+    return Spectrum(p, n, entries)
+
+
+def entrywise_diag(s: Spectrum):
+    """The diagonal by one div_exact_int and as_root_scalar per entry, or the NotFlat message."""
+    scale_int = s.p ** (s.n // 2)
+    scalars = []
+    for w, e in enumerate(s.entries):
+        try:
+            scalars.append(e.div_exact_int(scale_int).as_root_scalar())
+        except (NotDivisible, NotAUnitRoot):
+            return f"entry {w} = {e} is not {scale_int}·(±ξ^k)"
+    return GenPerm.from_diag(s.p, scalars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_root_spectra())
+def test_diag_from_flat_spectrum_equals_the_entrywise_decode(s):
+    want = entrywise_diag(s)
+    if isinstance(want, str):
+        with pytest.raises(NotFlat) as err:
+            diag_from_flat_spectrum(s)
+        assert str(err.value) == want
+    else:
+        assert diag_from_flat_spectrum(s) == want

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcbent.cyclotomic import RootScalar
+from vcbent.vctransform import SizeLimitExceeded
 from vcbent.genperm import (
     GenPerm,
     as_dense,
@@ -150,3 +151,13 @@ def test_random_trees_round_trip_and_conjugate_by_both_routes(node):
     dense = conjugate_by_c(evaluate(node))
     assert type(structural) is type(dense)
     assert as_dense(structural) == as_dense(dense)
+
+
+def test_cached_diagonal_conjugates_stay_guarded(monkeypatch):
+    node = parse("diag(w,-1,w^2)")
+    assert as_dense(conjugate_expr(node)) == as_dense(conjugate_by_c(evaluate(node)))
+    monkeypatch.setenv("BENT_SIZE_LIMIT", "8")  # below the 3^2 entries of W
+    with pytest.raises(SizeLimitExceeded):
+        conjugate_expr(node)
+    with pytest.raises(SizeLimitExceeded):
+        conjugate_expr(parse("blockdiag(I,diag(w,-1,w^2),X)"))
