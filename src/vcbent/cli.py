@@ -282,27 +282,18 @@ def _demo_case4(out) -> None:
             f"{p.scalars[i].to_cyc()} {s_g[i]}",
             file=out,
         )
-    from .cyclotomic import NotAUnitRoot
+    from .cyclotomic import _root_exponents, _rows_array
     from .vctransform import is_flat
 
     print(f"S_g is flat: {is_flat(s_g)}", file=out)
     recovered = inverse(s_g)
     print("inverse transform gives: [" + " ".join(str(e) for e in recovered) + "]", file=out)
-    witness = None
-    for i, e in enumerate(recovered):
-        if not e:
-            continue
-        try:
-            if e.as_root_scalar().sign == 1:
-                continue
-        except NotAUnitRoot:
-            pass
-        witness = (i, e)
-        break
-    if witness is None:  # zeros are not sign values either
-        witness = next((i, e) for i, e in enumerate(recovered) if not e)
+    array = _rows_array([e.coeffs for e in recovered])
+    _, is_root = _root_exponents(array, 3)
+    # the first nonzero entry that is not +ξ^k
+    i = int((array.any(axis=-1) & ~is_root).argmax())
     print(
-        f"not-a-sign at index {witness[0]}: {witness[1]} "
+        f"not-a-sign at index {i}: {recovered[i]} "
         "(no power of x, so this flat spectrum belongs to no function)",
         file=out,
     )

@@ -9,7 +9,8 @@ parse() builds an AST, evaluate() turns it into a GenPerm, render() is the
 canonical writer (parse ∘ render ∘ parse is the identity), and
 conjugate_expr() computes W = p^(-n)·C·P·C* structurally: atom images come
 from the conjugation table, Kronecker/product/rotation nodes combine
-factor-wise, and block-diagonal nodes use the additive decomposition.  A
+factor-wise, 3×3 diagonals come from a cache, and every other block-diagonal
+or diagonal node is conjugated by the transform engine (conjugate_by_c).  A
 node whose W turns dense is refused, like conjugate_by_c, when its p^2n
 entries exceed the size guard.
 """
@@ -26,8 +27,6 @@ from .genperm import (
     GenPerm,
     as_dense,
     block_diag,
-    blockdiag_kron_sum,
-    check_blockdiag,
     compose,
     conjugate_by_c,
     conjugate_table,
@@ -275,20 +274,10 @@ def conjugate_expr(node: Expr) -> "GenPerm | DenseCycMatrix":
         _guard(3, 2 * _length_to_n(3, size), None)
         left, right = as_dense(left), as_dense(right)
         return _downcast(left.kron(right) if is_kron else left.matmul(right))
-    if isinstance(node, BlockDiag):
-        return _conjugate_blocks(node.items)
-    if isinstance(node, Diag):
-        if len(node.entries) == 9:
-            return _conjugate_blocks([Diag(node.entries[3 * i : 3 * i + 3]) for i in range(3)])
-        if len(node.entries) == 3:
-            _guard(3, 2, None)  # conjugate_by_c's guard, run before the cached call
-            return _diag3_conjugate(node.entries)
-        return conjugate_by_c(GenPerm.from_diag(3, node.entries))
+    if isinstance(node, Diag) and len(node.entries) == 3:
+        _guard(3, 2, None)  # conjugate_by_c's guard, run before the cached call
+        return _diag3_conjugate(node.entries)
+    if isinstance(node, (BlockDiag, Diag)):
+        return conjugate_by_c(evaluate(node))
     raise TypeError(f"not an expression node: {node!r}")
 
-
-def _conjugate_blocks(items) -> "GenPerm | DenseCycMatrix":
-    """W(2) of blockdiag(items): the blocks' W from their structure, summed as conjugate_blockdiag does."""
-    # the evaluated blocks are only sized, so the checks fail as conjugate_blockdiag's do
-    check_blockdiag([evaluate(i) for i in items])
-    return blockdiag_kron_sum([conjugate_expr(i) for i in items])

@@ -86,8 +86,12 @@ class VCMatrix:
 
 
 def build_c(p: int, n: int, limit: int | None = None) -> VCMatrix:
-    """C(n) built as the n-fold Kronecker product of C(1)."""
+    """C(n) built as the n-fold Kronecker product of C(1).
+
+    limit caps p^n; the p^2n entries built are held to the size guard.
+    """
     _guard(p, n, limit)
+    _guard(p, 2 * n, None)
     roots = [CycInt.root(p, k) for k in range(p)]
     rows = [[roots[0]]]
     for _ in range(n):

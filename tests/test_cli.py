@@ -92,6 +92,16 @@ def test_permute_via_routes_identical():
         assert dense == table
 
 
+@pytest.mark.parametrize("expr", ["blockdiag(kron(I,I),kron(I,N),kron(N,I))", "blockdiag(I,I,I,I,I,I,I,I,X)"])
+def test_permute_via_routes_identical_for_any_block_diagonal(capsys, expr):
+    # block-diagonals other than three 3×3 blocks: 27×27 permutations on a 3-variable function
+    args = ("permute", "--expr", expr, "--function", "012" * 9, "--via")
+    code, text = run(*args, "dense")
+    err = capsys.readouterr().err
+    assert (run(*args, "table"), capsys.readouterr().err) == ((code, text), err)
+    assert code == 0 and "spectrum:" in text
+
+
 def test_permute_dense_is_guarded_by_its_p_2n_cost(monkeypatch, capsys):
     # W = C·P·C* has p^2n = 81 entries for kron(N,N); the spectrum itself has 9
     monkeypatch.setenv("BENT_SIZE_LIMIT", "80")

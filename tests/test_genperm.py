@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -217,6 +218,21 @@ def test_conjugate_blockdiag():
     assert [list(r) for r in comp.rows] == [[ONE, W2, W], [W, ONE, W2], [W2, W, ONE]]
 
 
+def test_conjugate_blockdiag_equals_the_engine_for_every_gamma_triple():
+    gammas = [gamma(name) for name in GAMMA_NAMES]
+    for blocks in itertools.product(gammas, repeat=3):
+        assert conjugate_blockdiag(blocks) == conjugate_by_c(block_diag(blocks))
+    rng = random.Random(9)
+    for _ in range(20):
+        blocks = [
+            scale(rng.choice(gammas), RootScalar(3, rng.choice((1, -1)), rng.randrange(3)))
+            for _ in range(3)
+        ]
+        assert conjugate_blockdiag(blocks) == conjugate_by_c(block_diag(blocks))
+    with pytest.raises(ValueError, match="exactly 3"):
+        conjugate_blockdiag(gammas[:2])
+
+
 # (p, n) with p^n ≤ 27: the reference below is an O(p^3n) CycInt loop
 CONJ_SIZES = [(p, n) for p in (3, 4, 5, 6) for n in (1, 2, 3) if p**n <= 27]
 
@@ -300,6 +316,18 @@ def test_dense_operations_refuse_mixed_radices():
             op(b)
     with pytest.raises(RadixMismatch):
         identity(3, 1).to_dense().apply([CycInt.one(4)])  # 1 = 3^0 = 4^0 entries
+
+
+def test_genperm_apply_refuses_a_foreign_radix():
+    # the same check as DenseCycMatrix.apply: p = 3 and p = 4 share d = 2 and 1 = 3^0 = 4^0 entries
+    rotation = GenPerm.from_diag(3, [RootScalar(3, 1, 1)])
+    with pytest.raises(RadixMismatch):
+        rotation.apply([CycInt.one(4)])
+    with pytest.raises(RadixMismatch):
+        rotation.apply(Spectrum(4, 0, [CycInt.one(4)]))
+    with pytest.raises(RadixMismatch):
+        identity(3, 3).apply([ONE, ONE, CycInt.one(4)])
+    assert rotation.apply([ONE]) == [W]
 
 
 def test_dense_apply_reports_the_first_inexact_coordinate():

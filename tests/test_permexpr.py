@@ -106,6 +106,8 @@ def test_case3_equivalent_permutations():
         "blockdiag(w^2*Z,I,w^1*Zc)",
         "blockdiag(I,I,P12)",
         "diag(w^2,1,w,1,1,1,w,1,w^2)",
+        "blockdiag(kron(I,I),kron(I,N),kron(N,I))",
+        "blockdiag(I,I,I,I,I,I,I,I,X)",
     ],
 )
 def test_conjugate_expr_agrees_with_dense_route(text):

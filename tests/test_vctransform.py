@@ -270,6 +270,11 @@ def test_size_guard():
     assert build_c(3, 3, limit=27).n == 3  # explicit limit overrides the default
 
 
+def test_build_c_guards_its_p_2n_entries():
+    with pytest.raises(SizeLimitExceeded):
+        build_c(3, 6)  # p^n = 3^6 passes, but C(6) holds 3^12 entries
+
+
 def test_size_guard_env_override(monkeypatch):
     monkeypatch.setenv("BENT_SIZE_LIMIT", "9")
     with pytest.raises(SizeLimitExceeded):
