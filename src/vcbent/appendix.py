@@ -6,23 +6,27 @@ the permuted spectrum:
 
     class<TAB>row<TAB>g_trits<TAB>alpha,beta<TAB>spectrum_exponent_trits
 
-Verification recomputes everything: the spectrum exponents of g, class
-membership against the generated 18, the action of the labelled α⊗β on the
-seed spectrum, and the function-domain route W·F_seed = sign(g) with
-W = 3^(-2)·C·(α⊗β)·C*.
+Verification recomputes everything, on one stack of rows per class: the
+spectrum exponents of g, class membership against the generated 18, the
+action of the labelled α⊗β on the seed spectrum, and the function-domain
+route W·F_seed = sign(g) with W = 3^(-2)·C·(α⊗β)·C*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .bentlab import NotStrict, circular_spectrum, strict_exponents
+import numpy as np
+
+from .bentlab import _strict_decode, circular_spectrum
 from .generator import generate_class, reference_seed
-from .genperm import apply, conjugate_by_c, gamma, kron
+from .genperm import GenPerm, apply_stack, conjugate_by_c, gamma, kron
 from .mvfunction import MvFunction, sign_of
+from .vctransform import transform
 
 FIXTURE_RESOURCE = "appendix_classes.tsv"
 
@@ -93,39 +97,33 @@ def load_appendix_rows(path: str | Path | None = None) -> list[AppendixRow]:
 
 
 def verify_appendix(rows: list[AppendixRow] | None = None) -> list[RowCheck]:
-    """Recompute every fixture row through both the spectral and W·F routes."""
+    """Recompute every fixture row through both the spectral and W·F routes.
+
+    Per class: one transform of the rows' signs, one apply_stack of their
+    α⊗β on the seed spectrum and one of their W on the seed's sign, and one
+    strict decode of both spectrum stacks.  Checks come back in row order;
+    the first unknown label, else the first class id outside 1..9, raises ValueError."""
     if rows is None:
         rows = load_appendix_rows()
-    class_cache: dict[int, tuple] = {}
-    w_cache: dict[tuple[str, str], object] = {}  # W of each distinct label α⊗β
-    checks = []
-    for row in rows:
-        cached = class_cache.get(row.class_id)
-        if cached is None:
-            seed = reference_seed(row.class_id)
-            record = generate_class(seed, row.class_id)
-            cached = (
-                seed,
-                circular_spectrum(seed),
-                tuple(sign_of(seed).entries),
-                {r.g for r in record.rows},
-            )
-            class_cache[row.class_id] = cached
-        seed, s_seed, f_seed, members = cached
-
-        try:
-            spectrum_ok = strict_exponents(circular_spectrum(row.g)) == row.exponents
-        except NotStrict:
-            spectrum_ok = False
-        membership_ok = row.g in members
-        perm = kron(gamma(row.alpha), gamma(row.beta))
-        try:
-            permutation_ok = strict_exponents(apply(perm, s_seed)) == row.exponents
-        except NotStrict:
-            permutation_ok = False
-        w = w_cache.get((row.alpha, row.beta))
-        if w is None:
-            w = w_cache[row.alpha, row.beta] = conjugate_by_c(perm)
-        sign_ok = list(apply(w, f_seed)) == list(sign_of(row.g).entries)
-        checks.append(RowCheck(row, spectrum_ok, membership_ok, permutation_ok, sign_ok))
+    labels = [_label_perms(row.alpha, row.beta) for row in rows]
+    checks: list = [None] * len(rows)
+    for class_id in dict.fromkeys(row.class_id for row in rows):
+        indices = [i for i, row in enumerate(rows) if row.class_id == class_id]
+        seed = reference_seed(class_id)
+        members = {r.g for r in generate_class(seed, class_id).rows}
+        signs = np.stack([sign_of(rows[i].g).array for i in indices])
+        permuted = apply_stack([labels[i][0] for i in indices], circular_spectrum(seed))
+        t, strict = _strict_decode(np.stack([transform(signs, 3, 2, conjugate=True), permuted]), 3, 2)
+        exponents = np.array([rows[i].exponents for i in indices])
+        spectrum_ok, permutation_ok = ((strict == 1) & (t == exponents)).all(axis=-1).tolist()
+        sign_ok = (apply_stack([labels[i][1] for i in indices], sign_of(seed)) == signs).all(axis=(1, 2))
+        for i, spectrum, permutation, sign in zip(indices, spectrum_ok, permutation_ok, sign_ok.tolist()):
+            checks[i] = RowCheck(rows[i], spectrum, rows[i].g in members, permutation, sign)
     return checks
+
+
+@lru_cache(maxsize=None)
+def _label_perms(alpha: str, beta: str) -> tuple[GenPerm, GenPerm]:
+    """α⊗β and W = 3^(-2)·C·(α⊗β)·C*, a GenPerm for labels in Γ."""
+    perm = kron(gamma(alpha), gamma(beta))
+    return perm, conjugate_by_c(perm)

@@ -10,7 +10,8 @@ with one pass of each stage on the engine's batch axis; spectrum_is_bent()
 is its one-row case.
 
 Strict bentness additionally asks S(w) = p^(n/2)·ξ^t(w) for every w; the
-exponent function t is the dual.
+exponent function t is the dual.  is_bent, strict_exponent_rows and the
+appendix replay read t from one array decode of p^(n/2)·(±ξ^t), _strict_decode.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycInt, NotAUnitRoot, NotDivisible, _check_coefficients, _root_exponents, degree
+from .cyclotomic import CycInt, _check_coefficients, _unit_roots, degree
 from .mvfunction import MvFunction, add_constant, sign_of
 from .vctransform import Spectrum, _guard, flat_mask, forward_fast, transform
 
@@ -93,12 +94,7 @@ def is_bent(f: MvFunction) -> BentVerdict:
     w = _first(~flat_mask(s.array, f.p, f.n))
     if w is not None:
         return BentVerdict(False, False, False, failure_witness=(w, CycInt(f.p, s.array[w])))
-    try:
-        strict_exponents(s)
-        strict = True
-    except NotStrict:
-        strict = False
-    return BentVerdict(True, True, strict)
+    return BentVerdict(True, True, bool((_strict_decode(s.array, f.p, f.n)[1] == 1).all()))
 
 
 def spectrum_is_bent(s: Spectrum) -> MvFunction:
@@ -129,8 +125,8 @@ def spectra_verdicts(stack: np.ndarray, p: int, n: int) -> list[MvFunction | Not
     images = transform(stack, p, n, conjugate=False)
     keep = _drop_failures(verdicts, rows, (images % p**n != 0).any(axis=-1), images, "not-divisible", p)
     rows, signs = rows[keep], images[keep] // p**n
-    exponents, ok = _root_exponents(signs, p)
-    keep = _drop_failures(verdicts, rows, ~ok, signs, "not-a-sign", p)
+    sign, exponents, ok = _unit_roots(signs, p, 1)
+    keep = _drop_failures(verdicts, rows, ~ok | (sign != 1), signs, "not-a-sign", p)
     for r, values in zip(rows[keep].tolist(), exponents[keep].tolist()):
         verdicts[r] = MvFunction(p, n, values)
     return verdicts
@@ -158,18 +154,23 @@ def strict_exponent_rows(stack: np.ndarray, p: int, n: int) -> np.ndarray:
     NotStrict names the first bad entry of the first row that has one."""
     if n % 2:
         raise NotStrict(f"odd variable count {n}")
-    scale = p ** (n // 2)
-    exponents, ok = _root_exponents(stack // scale, p)
-    bad = ~ok | (stack % scale != 0).any(axis=-1)
+    exponents, signs = _strict_decode(stack, p, n)
+    bad = signs != 1
     if bad.any():
         b, w = divmod(int(bad.argmax()), p**n)
         e = CycInt(p, stack[b, w])
-        try:
-            rs = e.div_exact_int(scale).as_root_scalar()
-        except (NotDivisible, NotAUnitRoot) as exc:
-            raise NotStrict(f"entry {w} = {e} is not {scale}·ξ^k", (w, e)) from exc
-        raise NotStrict(f"entry {w} = {e} is {scale}·(-ξ^{rs.exponent})", (w, e))
+        scale = p ** (n // 2)
+        if signs[b, w] == -1:
+            raise NotStrict(f"entry {w} = {e} is {scale}·(-ξ^{exponents[b, w]})", (w, e))
+        raise NotStrict(f"entry {w} = {e} is not {scale}·ξ^k", (w, e))
     return exponents
+
+
+def _strict_decode(stack: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(t, sign) per entry of a (..., p^n, d) array, raising nothing: entry = p^(n/2)·sign·ξ^t
+    where sign is ±1 (strict where +1); sign is 0 for any other entry, and for all when n is odd."""
+    signs, exponents, ok = _unit_roots(stack, p, p ** (n // 2))
+    return exponents, np.where(ok & (n % 2 == 0), signs, 0)
 
 
 def dual(f: MvFunction) -> MvFunction:

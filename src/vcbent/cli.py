@@ -282,16 +282,16 @@ def _demo_case4(out) -> None:
             f"{p.scalars[i].to_cyc()} {s_g[i]}",
             file=out,
         )
-    from .cyclotomic import _root_exponents, _rows_array
+    from .cyclotomic import _rows_array, _unit_roots
     from .vctransform import is_flat
 
     print(f"S_g is flat: {is_flat(s_g)}", file=out)
     recovered = inverse(s_g)
     print("inverse transform gives: [" + " ".join(str(e) for e in recovered) + "]", file=out)
     array = _rows_array([e.coeffs for e in recovered])
-    _, is_root = _root_exponents(array, 3)
+    sign, _, ok = _unit_roots(array, 3, 1)
     # the first nonzero entry that is not +ξ^k
-    i = int((array.any(axis=-1) & ~is_root).argmax())
+    i = int((array.any(axis=-1) & ~(ok & (sign == 1))).argmax())
     print(
         f"not-a-sign at index {i}: {recovered[i]} "
         "(no power of x, so this flat spectrum belongs to no function)",

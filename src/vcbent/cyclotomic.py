@@ -28,6 +28,7 @@ import numpy as np
 SUPPORTED_RADICES = (3, 4, 5, 6)
 
 _DEGREE = {3: 2, 4: 2, 5: 4, 6: 2}
+_TERNARY = 3 ** np.arange(4)  # place values of _unit_codes' coefficient code
 
 # ξ^d written in the power basis, d = deg Φ_p.
 _FOLD = {
@@ -348,10 +349,23 @@ def root_table(p: int) -> np.ndarray:
     return _frozen(np.array(_root_coeffs(p), dtype=np.int64))
 
 
-def _root_exponents(array: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k, ok): array[x] is the coefficient row of +ξ^k[x] exactly where ok[x]."""
-    match = (array[..., None, :] == root_table(p)).all(axis=-1)
-    return match.argmax(axis=-1), match.any(axis=-1)
+def _unit_roots(array: np.ndarray, p: int, scale: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sign, k, ok): array[x] = scale·sign·ξ^k exactly where ok[x]; as in
+    CycInt.as_root_scalar, +ξ^k wins where both signs fit (even p)."""
+    unit = np.minimum(np.maximum(array // scale, -1), 1)
+    found = _unit_codes(p)[(unit @ _TERNARY[: _DEGREE[p]]).astype(np.intp, copy=False)]
+    ok = (found[..., 0] != 0) & (unit * scale == array).all(axis=-1)
+    return found[..., 0], found[..., 1], ok
+
+
+@lru_cache(maxsize=None)
+def _unit_codes(p: int) -> np.ndarray:
+    """Row Σ_j b_j·3^j (balanced ternary; a negative code wraps to the top rows) holds the
+    (sign, k) of the ±ξ^k with coefficients b_j, or (0, 0); every ±ξ^k has all b_j in {-1, 0, 1}."""
+    table = np.zeros((3 ** _DEGREE[p], 2), dtype=np.int64)
+    for coeffs, found in _unit_lookup(p).items():
+        table[sum(c * 3**j for j, c in enumerate(coeffs))] = found
+    return _frozen(table)
 
 
 def _check_coefficients(array: np.ndarray, shape: tuple) -> None:

@@ -58,13 +58,19 @@ REFERENCE_SEEDS: tuple[_Seed, ...] = (
 )
 
 
+def _reference(class_id: int) -> _Seed:
+    if not 1 <= class_id <= len(REFERENCE_SEEDS):
+        raise ValueError(f"no reference class {class_id}; expected 1..{len(REFERENCE_SEEDS)}")
+    return REFERENCE_SEEDS[class_id - 1]
+
+
 def reference_seed(class_id: int) -> MvFunction:
-    seed = REFERENCE_SEEDS[class_id - 1]
-    return MvFunction.from_digits(3, 2, seed.digits)
+    """The seed of class 1..9; ValueError for any other class id."""
+    return MvFunction.from_digits(3, 2, _reference(class_id).digits)
 
 
 def reference_polynomial(class_id: int) -> GF3Polynomial:
-    return GF3Polynomial.parse(REFERENCE_SEEDS[class_id - 1].polynomial)
+    return GF3Polynomial.parse(_reference(class_id).polynomial)
 
 
 class CatalogEntry(NamedTuple):
@@ -227,12 +233,6 @@ def maiorana(spec: MaioranaSpec) -> MvFunction:
     return f
 
 
-def _straight_perms(size: int) -> list[GenPerm]:
-    if size != 3:
-        raise SizeLimitExceeded("straight-permutation enumeration limited to size 3")
-    return [gamma(name) for name in GAMMA_NAMES]
-
-
 def maiorana_enumerate(m: int = 1) -> set[MvFunction]:
     """Distinct Maiorana functions over all straight Q and all shifts v."""
     if m != 1:
@@ -240,7 +240,7 @@ def maiorana_enumerate(m: int = 1) -> set[MvFunction]:
             f"enumeration at m={m} needs ({3**m})! straight permutations; only m=1 is tabulated"
         )
     out: set[MvFunction] = set()
-    for q in _straight_perms(3**m):
+    for q in [gamma(name) for name in GAMMA_NAMES]:
         for values in product(range(3), repeat=3**m):
             out.add(maiorana(MaioranaSpec(m, q, MvFunction(3, m, values))))
     return out

@@ -1,8 +1,9 @@
 """Generalized permutation matrices and their conjugation by the transform.
 
 A generalized permutation has exactly one nonzero entry per row and column,
-each of the form ±ξ^k; it is stored row-sparse as (column, scalar) pairs so
-application to a vector is O(size).  The module provides
+each of the form ±ξ^k; it is stored row-sparse as (column, scalar) pairs and
+applied by one gather and rotation of a coefficient array (apply_stack, whose
+one-row case is GenPerm.apply).  The module provides
 
   * the six elementary 3×3 straight permutations Γ = {I, P01, P12, N, X, XT},
   * the diagonal modulation matrices Z = diag(1, ξ, ξ², ...) and Z*,
@@ -30,7 +31,7 @@ import numpy as np
 
 from .cyclotomic import (
     CycInt, RadixMismatch, RootScalar, _check_coefficients, _cyc_list, _frozen,
-    _root_exponents, _rows_array, degree, root_table,
+    _rows_array, _unit_roots, degree, root_table,
 )
 from .mvfunction import _length_to_n
 from .vctransform import (
@@ -82,17 +83,10 @@ class GenPerm:
         return cls(p, range(len(scalars)), scalars)
 
     def apply(self, vec):
-        """Matrix-vector product; Spectrum in gives Spectrum back."""
-        if isinstance(vec, Spectrum):
-            out = self.apply(vec.entries)
-            return Spectrum(vec.p, vec.n, out)
-        seq = tuple(vec)
-        if len(seq) != self.size:
-            raise ValueError(f"size mismatch: {self.size} vs {len(seq)}")
-        other = next((e.p for e in seq if e.p != self.p), None)
-        if other is not None:
-            raise RadixMismatch(f"radix mismatch: {self.p} vs {other}")
-        return [s.apply(seq[c]) for c, s in zip(self.cols, self.scalars)]
+        """Matrix-vector product, the one-row case of apply_stack; Spectrum in
+        gives Spectrum back, anything else a list."""
+        out = apply_stack([self], vec)[0]
+        return Spectrum.from_array(vec.p, vec.n, out) if isinstance(vec, Spectrum) else _cyc_list(self.p, out)
 
     def to_dense(self) -> "DenseCycMatrix":
         num = np.zeros((self.size, self.size, degree(self.p)), dtype=np.int64)
@@ -308,12 +302,10 @@ def diag_from_flat_spectrum(s: Spectrum) -> GenPerm:
     if s.n % 2:
         raise NotFlat(f"odd variable count {s.n}: p^(n/2) is not an integer")
     scale_int = s.p ** (s.n // 2)
-    array = s.array
-    signs, exponents, ok = _unit_roots(array // scale_int, s.p)
-    bad = ~ok | (array % scale_int != 0).any(axis=-1)
-    if bad.any():
-        w = int(bad.argmax())
-        raise NotFlat(f"entry {w} = {CycInt(s.p, array[w])} is not {scale_int}·(±ξ^k)")
+    signs, exponents, ok = _unit_roots(s.array, s.p, scale_int)
+    if not ok.all():
+        w = int(ok.argmin())
+        raise NotFlat(f"entry {w} = {CycInt(s.p, s.array[w])} is not {scale_int}·(±ξ^k)")
     return GenPerm.from_diag(s.p, (RootScalar(s.p, sg, k) for sg, k in zip(signs.tolist(), exponents.tolist())))
 
 
@@ -322,23 +314,23 @@ def apply(m, vec):
     return m.apply(vec)
 
 
-def apply_stack(perms: Sequence[GenPerm], s: Spectrum) -> np.ndarray:
-    """The (B, size, d) coefficients of perm.apply(s) for each of B perms.
+def apply_stack(perms: Sequence[GenPerm], vec) -> np.ndarray:
+    """The (B, size, d) coefficients of perm.apply(vec) for each of B perms.
 
-    One gather s.array[cols] over the (B, size) column array, then one
-    entrywise mul_array by the rotations sign·ξ^k, so any scalars are exact.
-    """
+    One gather of vec's coefficients over the (B, size) column array, then
+    one entrywise mul_array by the rotations sign·ξ^k, so any scalars are exact."""
+    p, _, array = _as_array(vec)
     for perm in perms:
-        if perm.p != s.p:
-            raise RadixMismatch(f"radix mismatch: {perm.p} vs {s.p}")
-        if perm.size != len(s):
-            raise ValueError(f"size mismatch: {perm.size} vs {len(s)}")
-    shape = (len(perms), len(s))
+        if perm.p != p:
+            raise RadixMismatch(f"radix mismatch: {perm.p} vs {p}")
+        if perm.size != len(array):
+            raise ValueError(f"size mismatch: {perm.size} vs {len(array)}")
+    shape = (len(perms), len(array))
     cols = np.array([perm.cols for perm in perms], dtype=np.intp).reshape(shape)
     scalars = np.array([[(t.sign, t.exponent) for t in perm.scalars] for perm in perms], dtype=np.int64)
     scalars = scalars.reshape(*shape, 2)
-    rotations = scalars[..., :1] * root_table(s.p)[scalars[..., 1]]
-    return mul_array(rotations, s.array[cols], s.p)
+    rotations = scalars[..., :1] * root_table(p)[scalars[..., 1]]
+    return mul_array(rotations, array[cols], p)
 
 
 # -- conjugation ---------------------------------------------------------------
@@ -366,19 +358,11 @@ def _downcast(dense: DenseCycMatrix) -> "GenPerm | DenseCycMatrix":
     if dense.denom != 1 or (nonzero.sum(axis=0) != 1).any() or (nonzero.sum(axis=1) != 1).any():
         return dense
     cols = nonzero.argmax(axis=1)
-    signs, exponents, ok = _unit_roots(dense.num[np.arange(dense.size), cols], dense.p)
+    signs, exponents, ok = _unit_roots(dense.num[np.arange(dense.size), cols], dense.p, 1)
     if not ok.all():
         return dense
     scalars = [RootScalar(dense.p, s, k) for s, k in zip(signs.tolist(), exponents.tolist())]
     return GenPerm(dense.p, cols.tolist(), scalars)
-
-
-def _unit_roots(cells: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sign, k, ok): cells[x] = sign·ξ^k exactly where ok[x], the array decode of ±ξ^k."""
-    # +ξ^k first, as CycInt.as_root_scalar prefers sign +1 where both fit (even p)
-    plus, is_plus = _root_exponents(cells, p)
-    minus, is_minus = _root_exponents(-cells, p)
-    return np.where(is_plus, 1, -1), np.where(is_plus, plus, minus), is_plus | is_minus
 
 
 def is_generalized_permutation(m) -> bool:

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import (
-    CycInt, CycVector, RadixMismatch, _check_radix, _frozen, _root_exponents, _rows_array, root_table,
+    CycInt, CycVector, RadixMismatch, _check_radix, _frozen, _rows_array, _unit_roots, root_table,
 )
 
 
@@ -154,7 +154,8 @@ class SignVector(CycVector):
 
 def _sign_exponents(p: int, array: np.ndarray) -> tuple[int, ...]:
     """k with array[x] = +ξ^k[x], the one sign decode; NotASign names the first other entry."""
-    exponents, ok = _root_exponents(array, p)
+    sign, exponents, ok = _unit_roots(array, p, 1)
+    ok &= sign == 1
     if not ok.all():
         i = int(ok.argmin())
         raise NotASign(i, CycInt(p, array[i]))

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import (
-    CycInt, CycVector, NotDivisible, _cyc_list, _frozen, _root_coeffs, degree, root_table,
+    CycInt, CycVector, NotDivisible, RadixMismatch, _cyc_list, _frozen, _root_coeffs, degree, root_table,
 )
 from .mvfunction import _length_to_n, digits_of
 
@@ -60,7 +60,8 @@ class Spectrum(CycVector):
         super().__init__(p, n, entries)
         for e in self._entries:
             if not isinstance(e, CycInt) or e.p != p:
-                raise ValueError(f"entry {e!r} is not in Z[ξ_{p}]")
+                error = RadixMismatch if isinstance(e, CycInt) else ValueError
+                raise error(f"entry {e!r} is not in Z[ξ_{p}]")
 
     @classmethod
     def from_strict_exponents(cls, p: int, n: int, exponents: Sequence[int]) -> "Spectrum":

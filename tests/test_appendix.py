@@ -1,12 +1,19 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from vcbent.appendix import (
     AppendixRow,
+    RowCheck,
     load_appendix_rows,
     parse_fixture_lines,
     verify_appendix,
 )
-from vcbent.mvfunction import MvFunction
+from vcbent.bentlab import NotStrict, circular_spectrum, strict_exponents
+from vcbent.generator import generate_class, reference_seed
+from vcbent.genperm import GAMMA_NAMES, apply, conjugate_by_c, gamma, kron
+from vcbent.mvfunction import MvFunction, sign_of
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +76,67 @@ def test_class6_duplicate_labels_verify_under_either_name(rows):
     swapped = AppendixRow(row.class_id, row.row, row.g, "X", "I", row.exponents)
     checks = verify_appendix([row, swapped])
     assert all(c.passed for c in checks)
+
+
+def per_row_reference(rows):
+    """Each row on its own: strict_exponents of two spectra, GenPerm.apply and sign_of."""
+    checks = []
+    for row in rows:
+        seed = reference_seed(row.class_id)
+        members = {r.g for r in generate_class(seed, row.class_id).rows}
+        perm = kron(gamma(row.alpha), gamma(row.beta))
+        try:
+            spectrum_ok = strict_exponents(circular_spectrum(row.g)) == row.exponents
+        except NotStrict:
+            spectrum_ok = False
+        try:
+            permutation_ok = strict_exponents(apply(perm, circular_spectrum(seed))) == row.exponents
+        except NotStrict:
+            permutation_ok = False
+        sign_ok = list(apply(conjugate_by_c(perm), sign_of(seed))) == list(sign_of(row.g).entries)
+        checks.append(RowCheck(row, spectrum_ok, row.g in members, permutation_ok, sign_ok))
+    return checks
+
+
+def mutate(rng, row):
+    """The row with one of g, the label, the exponents or the class changed."""
+    kind = rng.choice(["g", "label", "exponents", "class"])
+    if kind == "g":
+        values = list(row.g.values)
+        values[rng.randrange(9)] = rng.randrange(3)
+        return replace(row, g=MvFunction(3, 2, values))
+    if kind == "label":
+        return replace(row, alpha=rng.choice(GAMMA_NAMES), beta=rng.choice(GAMMA_NAMES))
+    if kind == "exponents":
+        exponents = list(row.exponents)
+        exponents[rng.randrange(9)] = rng.randrange(3)
+        return replace(row, exponents=tuple(exponents))
+    return replace(row, class_id=rng.randrange(1, 10))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_appendix_equals_the_per_row_reference(rows, seed):
+    rng = random.Random(seed)
+    shuffled = [mutate(rng, row) if rng.random() < 0.4 else row for row in rows]
+    rng.shuffle(shuffled)
+    checks = verify_appendix(shuffled)
+    assert [c.row for c in checks] == shuffled
+    assert checks == per_row_reference(shuffled)
+    assert any(not c.passed for c in checks) and any(c.passed for c in checks)
+
+
+def test_verify_appendix_raises_on_the_first_unknown_label(rows):
+    bad = list(rows[:12])
+    bad[4] = replace(bad[4], beta="Q1")
+    bad[9] = replace(bad[9], alpha="Q2")
+    with pytest.raises(ValueError, match="'Q1'"):
+        per_row_reference(bad)
+    with pytest.raises(ValueError, match="'Q1'"):
+        verify_appendix(bad)
+
+
+@pytest.mark.parametrize("class_id", [0, -1, 10])
+def test_verify_appendix_refuses_class_ids_outside_1_to_9(rows, class_id):
+    relabelled = [replace(row, class_id=class_id) for row in rows if row.class_id == 9]
+    with pytest.raises(ValueError, match=f"no reference class {class_id}"):
+        verify_appendix(relabelled)

@@ -20,7 +20,7 @@ from vcbent.bentlab import (
     strict_exponent_rows,
     strict_exponents,
 )
-from vcbent.cyclotomic import CycInt, NotDivisible, degree, xi
+from vcbent.cyclotomic import CycInt, NotAUnitRoot, NotDivisible, RootScalar, degree, xi
 from vcbent.genperm import apply, block_diag, gamma, kron
 from vcbent.mvfunction import MvFunction, NotASign, scalar_product, sign_of, tensor_sum, try_from_sign
 from vcbent.oracle import all_bent
@@ -332,3 +332,46 @@ def test_strict_exponent_rows_match_strict_exponents_per_row():
     with pytest.raises(NotStrict) as err:
         strict_exponent_rows(np.stack([stack[0], non_strict]), 3, 2)
     assert err.value.witness == (0, CycInt(3, (-3, 0)))
+
+
+@st.composite
+def signed_root_spectra(draw):
+    """p^(n/2)·(±ξ^k) entries, a few spoiled: not divisible, or not a unit root."""
+    p, n = draw(st.sampled_from([(3, 2), (4, 2), (5, 2), (6, 2), (3, 4)]))
+    scale = p ** (n // 2)
+    rng = draw(st.randoms(use_true_random=False))
+    minus = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    entries = [RootScalar(p, -1 if rng.random() < minus else 1, rng.randrange(p)).to_cyc() * scale for _ in range(p**n)]
+    for _ in range(draw(st.integers(0, 2))):
+        w = rng.randrange(p**n)
+        entries[w] = entries[w] + rng.choice([1, scale, 2 * scale])
+    return Spectrum(p, n, entries)
+
+
+def entrywise_strict(s):
+    """strict_exponents by div_exact_int and as_root_scalar per entry, or the NotStrict message."""
+    scale = s.p ** (s.n // 2)
+    exponents = []
+    for w, e in enumerate(s.entries):
+        try:
+            rs = e.div_exact_int(scale).as_root_scalar()
+        except (NotDivisible, NotAUnitRoot):
+            return f"entry {w} = {e} is not {scale}·ξ^k"
+        if rs.sign != 1:
+            return f"entry {w} = {e} is {scale}·(-ξ^{rs.exponent})"
+        exponents.append(rs.exponent)
+    return tuple(exponents)
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_root_spectra())
+def test_strict_exponents_and_messages_equal_the_entrywise_decode(s):
+    want = entrywise_strict(s)
+    if isinstance(want, str):
+        with pytest.raises(NotStrict) as err:
+            strict_exponents(s)
+        assert str(err.value) == want
+        w = int(want.split()[1])
+        assert err.value.witness == (w, s[w])
+    else:
+        assert strict_exponents(s) == want

@@ -237,6 +237,19 @@ def test_verify_appendix_detects_mutation(tmp_path):
     assert text.count("FAIL") == 1
 
 
+@pytest.mark.parametrize("class_id", ["0", "-1", "10"])
+def test_verify_appendix_class_ids_outside_1_to_9_exit_2(tmp_path, capsys, class_id):
+    from vcbent.appendix import fixture_text
+
+    # class 9's 18 rows relabelled: class 0 used to pass as class 9, class 10 to crash
+    lines = [class_id + line[1:] for line in fixture_text().splitlines() if line.startswith("9\t")]
+    path = tmp_path / "fixture.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    code, text = run("verify-appendix", str(path))
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: no reference class {class_id}; expected 1..9\n"
+
+
 def test_maiorana_single():
     code, text = run("maiorana", "--q", "I", "--v", "000")
     assert code == 0

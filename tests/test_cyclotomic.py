@@ -1,9 +1,11 @@
 import cmath
 import random
 
+import numpy as np
 import pytest
 
 from vcbent.cyclotomic import (
+    _unit_roots,
     CycInt,
     NotAUnitRoot,
     NotDivisible,
@@ -194,3 +196,41 @@ def test_root_scalar_round_trip_and_product():
     a = RootScalar(3, -1, 2) * RootScalar(3, -1, 2)
     assert a == RootScalar(3, 1, 1)
     assert RootScalar(3, 1, 2).apply(5 * xi(3, 2)) == 5 * xi(3, 1)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_RADICES)
+@pytest.mark.parametrize("scale", [1, 3, 9, 2**70])
+def test_unit_roots_decode_matches_the_entrywise_decomposition(p, scale):
+    # reference: div_exact_int then as_root_scalar, entry by entry
+    rng = random.Random(p * 31 + scale % 97)
+    values = [RootScalar(p, sign, k).to_cyc() * scale for sign in (1, -1) for k in range(p)]
+    values += [CycInt.from_int(p, scale + 1), CycInt.zero(p), xi(p) * (2 * scale), rand_cyc(rng, p) * scale]
+    values += [xi(p, k) * scale + CycInt.one(p) for k in range(p)]  # off by one: not divisible for scale > 1
+    array = np.array([v.coeffs for v in values], dtype=object if scale > 2**62 else np.int64)
+    signs, exponents, ok = _unit_roots(array, p, scale)
+    for v, sign, k, good in zip(values, signs.tolist(), exponents.tolist(), ok.tolist()):
+        try:
+            want = v.div_exact_int(scale).as_root_scalar()
+        except (NotDivisible, NotAUnitRoot):
+            assert not good, v
+            continue
+        assert good and RootScalar(p, sign, k) == want, v
+
+
+def test_unit_roots_prefer_positive_sign_for_even_radix():
+    # -ξ = ξ³ for p = 4 and -ξ² = ξ⁵ for p = 6: +ξ^k wins, as in as_root_scalar
+    cells = np.array([(-xi(4) * 2).coeffs, (-xi(4, 0) * 2).coeffs])
+    assert [a.tolist() for a in _unit_roots(cells, 4, 2)] == [[1, 1], [3, 2], [True, True]]
+    cells = np.array([(-xi(6, 2) * 3).coeffs])
+    assert [a.tolist() for a in _unit_roots(cells, 6, 3)] == [[1], [5], [True]]
+    # for odd p a negative root has only the sign -1
+    cells = np.array([(-xi(3, 2) * 3).coeffs])
+    assert [a.tolist() for a in _unit_roots(cells, 3, 3)] == [[-1], [2], [True]]
+
+
+def test_unit_roots_refuse_non_divisible_entries():
+    # 3·ξ + 1 floors to ξ under // 3, so only the remainder check catches it
+    cells = np.array([(xi(3) * 3 + 1).coeffs, (xi(3) * 3).coeffs, (xi(3) * 6).coeffs])
+    _, exponents, ok = _unit_roots(cells, 3, 3)
+    assert ok.tolist() == [False, True, False]
+    assert exponents[1] == 1

@@ -50,6 +50,15 @@ def test_reference_polynomials_match_value_vectors():
         assert is_bent(f).is_bent
 
 
+@pytest.mark.parametrize("class_id", [0, -1, 10])
+def test_reference_seed_refuses_class_ids_outside_1_to_9(class_id):
+    # class 0 used to read REFERENCE_SEEDS[-1], class 9's seed
+    with pytest.raises(ValueError, match=f"no reference class {class_id}; expected 1..9"):
+        reference_seed(class_id)
+    with pytest.raises(ValueError, match=f"no reference class {class_id}"):
+        reference_polynomial(class_id)
+
+
 def test_generate_class_structure():
     record = generate_class(reference_seed(1), 1)
     assert len(record.rows) == 18

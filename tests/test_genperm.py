@@ -31,7 +31,7 @@ from vcbent.genperm import (
     scale,
 )
 from vcbent.mvfunction import MvFunction, add_constant, sign_of
-from vcbent.vctransform import Spectrum, build_c, forward, is_flat
+from vcbent.vctransform import Spectrum, build_c, forward, forward_fast, is_flat
 
 ONE = CycInt.one(3)
 ZERO = CycInt.zero(3)
@@ -406,6 +406,29 @@ def test_apply_stack_equals_apply_per_permutation(case):
     assert stack.shape == (len(perms), len(s), degree(s.p))
     for perm, row in zip(perms, stack):
         assert Spectrum.from_array(s.p, s.n, row) == perm.apply(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_stacks())
+def test_apply_equals_the_per_entry_loop(case):
+    # the independent reference: one RootScalar.apply per row, on CycInt entries
+    perms, s = case
+    for perm in perms:
+        want = [t.apply(s[c]) for c, t in zip(perm.cols, perm.scalars)]
+        got = perm.apply(s)
+        assert isinstance(got, Spectrum) and got == Spectrum(s.p, s.n, want)
+        assert perm.apply(list(s)) == want
+
+
+def test_vectors_that_mix_radices_raise_radix_mismatch():
+    # p = 3 and p = 4 share d = 2, so only the radix check tells the entries apart
+    mixed = [ONE, ONE, CycInt.one(4)]
+    with pytest.raises(RadixMismatch, match=r"entry CycInt\(4, \(1, 0\)\) is not in Z\[ξ_3\]"):
+        identity(3, 3).to_dense().apply(mixed)
+    with pytest.raises(RadixMismatch):
+        forward_fast(mixed)
+    with pytest.raises(RadixMismatch):
+        Spectrum(3, 1, mixed)
 
 
 def test_apply_stack_refuses_foreign_sizes_and_radices():
