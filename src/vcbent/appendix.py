@@ -110,7 +110,7 @@ def verify_appendix(rows: list[AppendixRow] | None = None) -> list[RowCheck]:
     for class_id in dict.fromkeys(row.class_id for row in rows):
         indices = [i for i, row in enumerate(rows) if row.class_id == class_id]
         seed = reference_seed(class_id)
-        members = {r.g for r in generate_class(seed, class_id).rows}
+        members = _class_members(class_id)
         signs = np.stack([sign_of(rows[i].g).array for i in indices])
         permuted = apply_stack([labels[i][0] for i in indices], circular_spectrum(seed))
         t, strict = _strict_decode(np.stack([transform(signs, 3, 2, conjugate=True), permuted]), 3, 2)
@@ -120,6 +120,12 @@ def verify_appendix(rows: list[AppendixRow] | None = None) -> list[RowCheck]:
         for i, spectrum, permutation, sign in zip(indices, spectrum_ok, permutation_ok, sign_ok.tolist()):
             checks[i] = RowCheck(rows[i], spectrum, rows[i].g in members, permutation, sign)
     return checks
+
+
+@lru_cache(maxsize=9)
+def _class_members(class_id: int) -> frozenset[MvFunction]:
+    """The 18 functions of class 1..9, generated once; look up only ids reference_seed accepts."""
+    return frozenset(r.g for r in generate_class(reference_seed(class_id), class_id).rows)
 
 
 @lru_cache(maxsize=None)

@@ -78,11 +78,6 @@ class BentVerdict:
         return json.dumps(self.to_json_dict())
 
 
-def _first(mask: np.ndarray) -> int | None:
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
-
-
 def circular_spectrum(f: MvFunction) -> Spectrum:
     """The spectrum of ξ^f; value-identical to forward(sign_of(f))."""
     return forward_fast(sign_of(f))
@@ -91,9 +86,9 @@ def circular_spectrum(f: MvFunction) -> Spectrum:
 def is_bent(f: MvFunction) -> BentVerdict:
     """Flat/bent/strict classification with the first flatness witness."""
     s = circular_spectrum(f)
-    w = _first(~flat_mask(s.array, f.p, f.n))
-    if w is not None:
-        return BentVerdict(False, False, False, failure_witness=(w, CycInt(f.p, s.array[w])))
+    bad = np.flatnonzero(~flat_mask(s.array, f.p, f.n))
+    if bad.size:
+        return BentVerdict(False, False, False, failure_witness=(int(bad[0]), CycInt(f.p, s.array[bad[0]])))
     return BentVerdict(True, True, bool((_strict_decode(s.array, f.p, f.n)[1] == 1).all()))
 
 

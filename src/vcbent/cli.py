@@ -282,13 +282,13 @@ def _demo_case4(out) -> None:
             f"{p.scalars[i].to_cyc()} {s_g[i]}",
             file=out,
         )
-    from .cyclotomic import _rows_array, _unit_roots
+    from .cyclotomic import _unit_roots
     from .vctransform import is_flat
 
     print(f"S_g is flat: {is_flat(s_g)}", file=out)
     recovered = inverse(s_g)
     print("inverse transform gives: [" + " ".join(str(e) for e in recovered) + "]", file=out)
-    array = _rows_array([e.coeffs for e in recovered])
+    array = recovered.array
     sign, _, ok = _unit_roots(array, 3, 1)
     # the first nonzero entry that is not +ξ^k
     i = int((array.any(axis=-1) & ~(ok & (sign == 1))).argmax())

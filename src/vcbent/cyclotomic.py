@@ -393,8 +393,8 @@ def _cyc_list(p: int, array: np.ndarray) -> list[CycInt]:
 
 class CycVector:
     """Length-p^n vector over Z[ξ_p]: CycInt entries, a (p^n, d) array, or both,
-    each built from the other on first use.  == holds within one class and
-    compares arrays whatever their dtype; hash agrees with it."""
+    each built from the other on first use.  == holds within one class, comparing arrays
+    whatever their dtype, and with a list of the same CycInts; hash agrees with it."""
 
     __slots__ = ("p", "n", "_entries", "_array")
 
@@ -447,6 +447,8 @@ class CycVector:
         return self.entries[i]
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, list):
+            return list(self.entries) == other
         if not isinstance(other, type(self)):
             return NotImplemented
         return (self.p, self.n) == (other.p, other.n) and np.array_equal(self.array, other.array)

@@ -20,7 +20,10 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
+import numpy as np
+
 from .bentlab import NotBentSpectrum, circular_spectrum, is_bent, spectra_verdicts, strict_exponent_rows
+from .cyclotomic import root_table
 from .genperm import GAMMA_NAMES, GenPerm, apply, apply_stack, block_diag, gamma, kron
 from .mvfunction import (
     GF3Polynomial,
@@ -30,7 +33,7 @@ from .mvfunction import (
     tensor_sum,
     vec_columns,
 )
-from .vctransform import SizeLimitExceeded, Spectrum, spectrum_kron
+from .vctransform import SizeLimitExceeded, Spectrum, _guard, flat_mask, spectrum_kron, transform
 
 
 class DegenerateSeed(ValueError):
@@ -212,25 +215,34 @@ class MaioranaSpec:
 
 def maiorana(spec: MaioranaSpec) -> MvFunction:
     """f = vec⟨M·Q ⊕ (1 ⊗ vᵀ)⟩ with M[i, j] = ⟨i·j⟩ mod 3; always bent."""
-    m, q, v = spec.m, spec.q, spec.v
-    side = 3**m
-    if q.size != side or q.p != 3:
-        raise ValueError(f"permutation must be {side}×{side} over radix 3")
-    if not q.is_straight():
-        raise ValueError("Maiorana permutation must be straight (all scalars 1)")
-    if v.p != 3 or v.n != m:
-        raise ValueError(f"shift function must be ternary on {m} variables")
-    inv_col = [0] * side
-    for r, c in enumerate(q.cols):
-        inv_col[c] = r
-    matrix = [
-        [(scalar_product(i, inv_col[j], 3, m) + v.values[j]) % 3 for j in range(side)]
-        for i in range(side)
-    ]
-    f = MvFunction(3, 2 * m, vec_columns(matrix))
-    if not is_bent(f).is_bent:
+    return _maiorana_checked([spec])[0]
+
+
+def _maiorana_checked(specs: list[MaioranaSpec]) -> list[MvFunction]:
+    """maiorana() of each spec (one m for all), checked bent by one transform and one flatness mask."""
+    functions = []
+    for m, q, v in ((spec.m, spec.q, spec.v) for spec in specs):
+        side = 3**m
+        if q.size != side or q.p != 3:
+            raise ValueError(f"permutation must be {side}×{side} over radix 3")
+        if not q.is_straight():
+            raise ValueError("Maiorana permutation must be straight (all scalars 1)")
+        if v.p != 3 or v.n != m:
+            raise ValueError(f"shift function must be ternary on {m} variables")
+        inv_col = [0] * side
+        for r, c in enumerate(q.cols):
+            inv_col[c] = r
+        matrix = [
+            [(scalar_product(i, inv_col[j], 3, m) + v.values[j]) % 3 for j in range(side)]
+            for i in range(side)
+        ]
+        functions.append(MvFunction(3, 2 * m, vec_columns(matrix)))
+    n = 2 * specs[0].m
+    _guard(3, n, None)
+    signs = root_table(3)[np.array([f.values for f in functions])]
+    if not flat_mask(transform(signs, 3, n, conjugate=True), 3, n).all():
         raise AssertionError("Maiorana construction produced a non-bent function")
-    return f
+    return functions
 
 
 def maiorana_enumerate(m: int = 1) -> set[MvFunction]:
@@ -239,11 +251,8 @@ def maiorana_enumerate(m: int = 1) -> set[MvFunction]:
         raise SizeLimitExceeded(
             f"enumeration at m={m} needs ({3**m})! straight permutations; only m=1 is tabulated"
         )
-    out: set[MvFunction] = set()
-    for q in [gamma(name) for name in GAMMA_NAMES]:
-        for values in product(range(3), repeat=3**m):
-            out.add(maiorana(MaioranaSpec(m, q, MvFunction(3, m, values))))
-    return out
+    shifts = [MvFunction(3, m, values) for values in product(range(3), repeat=3**m)]
+    return set(_maiorana_checked([MaioranaSpec(m, gamma(name), v) for name in GAMMA_NAMES for v in shifts]))
 
 
 # -- tensor sums ----------------------------------------------------------------

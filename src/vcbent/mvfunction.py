@@ -181,14 +181,16 @@ def _length_to_n(p: int, length: int) -> int:
 
 
 def try_from_sign(entries) -> MvFunction:
-    """Recover f with ξ^f = entries; NotASign if any entry is not +ξ^k."""
-    if not isinstance(entries, SignVector):
+    """Recover f with ξ^f = entries; NotASign if any entry is not +ξ^k.  Decodes a CycVector's array."""
+    if not isinstance(entries, CycVector):
         seq = tuple(entries)
         if not seq:
             raise ValueError("empty vector")
         p = seq[0].p
         entries = SignVector(p, _length_to_n(p, len(seq)), seq)
-    return MvFunction(entries.p, entries.n, entries.exponents())
+    if isinstance(entries, SignVector):
+        return MvFunction(entries.p, entries.n, entries.exponents())
+    return MvFunction(entries.p, entries.n, _sign_exponents(entries.p, entries.array))
 
 
 def add_constant(f: MvFunction, c: int) -> MvFunction:

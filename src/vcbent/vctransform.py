@@ -4,7 +4,7 @@ C(1)[j, k] = ξ^(j·k mod p) and C(n) is the n-fold Kronecker power of C(1),
 so C(n)·C*(n) = p^n·I.  The forward direction applies the conjugate matrix
 C*(n); the inverse is F = p^(-n)·C(n)·S with an explicit divisibility
 check, so a candidate spectrum that is not p^n times anything is rejected
-instead of rounded.
+instead of rounded.  forward_fast() returns a Spectrum, inverse() a CycVector.
 
 Every spectrum in the package goes through transform(), which works on
 (..., p^n, d) integer arrays of power-basis coefficients: Good's
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import (
-    CycInt, CycVector, NotDivisible, RadixMismatch, _cyc_list, _frozen, _root_coeffs, degree, root_table,
+    CycInt, CycVector, NotDivisible, RadixMismatch, _frozen, _root_coeffs, degree, root_table,
 )
 from .mvfunction import _length_to_n, digits_of
 
@@ -137,10 +137,10 @@ def forward_fast(vec, limit: int | None = None) -> Spectrum:
     return Spectrum.from_array(p, n, transform(array, p, n, conjugate=True))
 
 
-def inverse(vec, limit: int | None = None) -> list[CycInt]:
-    """F = p^(-n)·C(n)·S with exact division; NotDivisible when S is not an image."""
+def inverse(vec, limit: int | None = None) -> CycVector:
+    """F = p^(-n)·C(n)·S, array-backed, with exact division; NotDivisible when S is not an image."""
     p, n, array = _as_array(vec, True, limit)
-    return _cyc_list(p, divide_exact(transform(array, p, n, conjugate=False), p**n, p))
+    return CycVector.from_array(p, n, divide_exact(transform(array, p, n, conjugate=False), p**n, p))
 
 
 def divide_exact(array: np.ndarray, scale: int, p: int) -> np.ndarray:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from vcbent import appendix
 from vcbent.appendix import (
     AppendixRow,
     RowCheck,
@@ -140,3 +141,13 @@ def test_verify_appendix_refuses_class_ids_outside_1_to_9(rows, class_id):
     relabelled = [replace(row, class_id=class_id) for row in rows if row.class_id == 9]
     with pytest.raises(ValueError, match=f"no reference class {class_id}"):
         verify_appendix(relabelled)
+
+
+def test_verify_appendix_is_repeatable_and_caches_only_classes_1_to_9(rows):
+    first, second = verify_appendix(rows), verify_appendix(rows)
+    assert first == second and all(c.passed for c in first)
+    assert appendix._class_members.cache_info().currsize == 9
+    for class_id in (0, 10):
+        with pytest.raises(ValueError, match=f"no reference class {class_id}"):
+            verify_appendix([replace(row, class_id=class_id) for row in rows[:3]])
+    assert appendix._class_members.cache_info().currsize == 9

@@ -25,6 +25,7 @@ from vcbent.generator import (
 )
 from vcbent.genperm import GAMMA_NAMES, apply, block_diag, gamma, kron
 from vcbent.mvfunction import MvFunction, add_constant, eval_polynomial, tensor_sum
+from vcbent import generator
 from vcbent.vctransform import SizeLimitExceeded, is_flat, spectrum_kron
 
 
@@ -299,3 +300,18 @@ def test_batched_generation_equals_the_per_spectrum_loop(class_id):
     for row, want_row in zip(record.rows, want.rows):
         for field in fields(ClassRow):
             assert getattr(row, field.name) == getattr(want_row, field.name), field.name
+
+
+def test_maiorana_enumerate_equals_the_per_function_loop():
+    shifts = [MvFunction(3, 1, v) for v in product(range(3), repeat=3)]
+    loop = {maiorana(MaioranaSpec(1, gamma(name), v)) for name in GAMMA_NAMES for v in shifts}
+    assert len(loop) == 162 and maiorana_enumerate(1) == loop
+
+
+def test_maiorana_checks_keep_refusing_a_non_bent_construction(monkeypatch):
+    # a construction that collapses to the constant 0, which is not bent
+    monkeypatch.setattr(generator, "vec_columns", lambda matrix: [0] * len(matrix) ** 2)
+    with pytest.raises(AssertionError, match="non-bent"):
+        maiorana_enumerate(1)
+    with pytest.raises(AssertionError, match="non-bent"):
+        maiorana(MaioranaSpec(1, gamma("I"), MvFunction(3, 1, (0, 0, 0))))

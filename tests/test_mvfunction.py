@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcbent.bentlab import circular_spectrum
-from vcbent.cyclotomic import CycInt, NotAUnitRoot, RadixMismatch, xi
+from vcbent.cyclotomic import CycInt, CycVector, NotAUnitRoot, RadixMismatch, xi
 from vcbent.mvfunction import (
     GF3Polynomial,
     MvFunction,
@@ -25,7 +25,7 @@ from vcbent.mvfunction import (
     un_vec,
     vec_columns,
 )
-from vcbent.vctransform import Spectrum, forward, forward_fast
+from vcbent.vctransform import Spectrum, forward, forward_fast, inverse
 
 X1X2 = MvFunction.from_digits(3, 2, "000012021")
 
@@ -237,3 +237,33 @@ def test_value_validation():
         MvFunction(3, 1, (0, 1, 3))
     with pytest.raises(ValueError):
         MvFunction(3, 2, (0,) * 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_try_from_sign_decodes_a_cyc_vector_from_its_array(data):
+    p = data.draw(st.sampled_from((3, 4, 5, 6)), label="p")
+    n = data.draw(st.integers(0, 2), label="n")
+    values = data.draw(st.lists(st.integers(0, p - 1), min_size=p**n, max_size=p**n), label="f")
+    entries = [xi(p, v) for v in values]
+    for _ in range(data.draw(st.integers(0, 3), label="corruptions")):
+        i = data.draw(st.integers(0, p**n - 1))
+        kind = data.draw(st.sampled_from(["zero", "negated", "doubled", "huge"]))
+        entries[i] = _CORRUPTIONS[kind](p, values[i])
+    rows = np.array([e.coeffs for e in entries], dtype=object)
+    vector = CycVector.from_array(p, n, rows)
+    assert _outcome(lambda: try_from_sign(vector).values) == _outcome(lambda: try_from_sign(entries).values)
+    assert vector._entries is None  # decoded from the array alone
+
+
+def test_try_from_sign_of_an_inverse_builds_no_entries():
+    rng = random.Random(12)
+    for p in (3, 4, 5, 6):
+        f = MvFunction(p, 3, [rng.randrange(p) for _ in range(p**3)])
+        back = inverse(circular_spectrum(f))
+        assert try_from_sign(back) == f and back._entries is None
+    w, three = xi(3), CycInt.from_int(3, 3)  # flat, but its inverse is 3ξ at index 8 and zero elsewhere
+    flat = Spectrum(3, 2, [3 * w, 3 * w * w, three, 3 * w * w, three, 3 * w, three, 3 * w, 3 * w * w])
+    with pytest.raises(NotASign) as err:
+        try_from_sign(inverse(flat))
+    assert (err.value.index, err.value.value) == (0, CycInt.zero(3))

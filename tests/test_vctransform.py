@@ -1,12 +1,14 @@
+import gc
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcbent.cyclotomic import CycInt, NotDivisible, degree, xi
+from vcbent.cyclotomic import CycInt, CycVector, NotDivisible, degree, xi
 from vcbent.mvfunction import MvFunction, add_constant, sign_of, try_from_sign
 from vcbent.vctransform import (
     INT64_BOUND,
@@ -329,3 +331,55 @@ def test_spectrum_file_round_trips_through_both_forms(data):
 def test_factorial_identity():
     # the straight-permutation count on 9 spectral positions
     assert math.factorial(9) == 362880
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficient_vectors(), st.booleans())
+def test_inverse_returns_an_array_backed_vector_that_round_trips(case, huge):
+    p, n, vec = case
+    if huge:  # one coefficient of 2^64 puts the spectrum, and the inverse, on Python ints
+        vec[0] = vec[0] + 2**64
+    s = forward_fast(vec)
+    if huge:
+        assert s.array.dtype == object and max(abs(int(c)) for c in s.array.ravel()) > 2**62
+    back = inverse(s)
+    assert type(back) is CycVector and (back.p, back.n) == (p, n)
+    assert back._entries is None and not back.array.flags.writeable
+    assert back.array.tolist() == [list(e.coeffs) for e in vec]
+    assert back == vec and vec == back
+    assert inverse(Spectrum.from_array(p, n, s.array.astype(object))) == vec
+
+
+def test_inverse_equals_a_list_of_the_same_entries_only():
+    entries = list(sign_of(X1X2).entries)
+    back = inverse(forward_fast(sign_of(X1X2)))
+    assert back == entries and entries == back
+    assert not back != entries and not entries != back
+    changed = entries[:4] + [2 * entries[4]] + entries[5:]
+    for other in (changed, entries[:-1], entries + entries[:1]):
+        assert back != other and other != back
+        assert not back == other and not other == back
+
+
+def test_inverse_not_divisible_names_the_first_inexact_coordinate():
+    coeffs = [(-1, 2), (-2, -1), (-2, -1), (0, -1), (-2, 1), (-2, 1), (-2, -1), (1, 0), (1, 0)]
+    s = [CycInt(3, c) for c in coeffs]
+    image = [sum((c * e for c, e in zip(row, s)), CycInt.zero(3)) for row in build_c(3, 2).rows]
+    first = next(i for i, v in enumerate(image) if any(c % 9 for c in v.coeffs))
+    assert first == 3 and image[first] == CycInt(3, (-7, -5))
+    for vec in (s, Spectrum(3, 2, s), Spectrum.from_array(3, 2, np.array(coeffs, dtype=object))):
+        with pytest.raises(NotDivisible, match="coordinate 3 = -7-5x is not a multiple of 9") as err:
+            inverse(vec)
+        assert err.value.index == first and err.value.value == image[first]
+
+
+def test_inverse_builds_no_object_per_point():
+    # the same measure as perfbench's cyclotomic.objects_per_point; a list[CycInt] adds two blocks a point
+    s = forward_fast(rand_sign(random.Random(8), 3, 8))
+    inverse(s)  # the kernel's tables are cached on first use
+    gc.collect()
+    before = sys.getallocatedblocks()
+    back = inverse(s)
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 50
+    del back
