@@ -35,7 +35,8 @@ from .cyclotomic import (
 )
 from .mvfunction import _length_to_n
 from .vctransform import (
-    Spectrum, _as_array, _guard, _maxabs, divide_exact, kernel_dtype, mul_array, transform,
+    Spectrum, _as_array, _guard, _maxabs, _product_table, divide_exact, kernel_dtype, mul_array,
+    transform,
 )
 
 
@@ -318,7 +319,9 @@ def apply_stack(perms: Sequence[GenPerm], vec) -> np.ndarray:
     """The (B, size, d) coefficients of perm.apply(vec) for each of B perms.
 
     One gather of vec's coefficients over the (B, size) column array, then
-    one entrywise mul_array by the rotations sign·ξ^k, so any scalars are exact."""
+    one entrywise ring product by the rotations sign·ξ^k, folded as in
+    mul_array, so any scalars are exact.  Rotation coefficients are -1, 0 or
+    1, so d²·maxabs of the gathered array alone picks int64 or Python ints."""
     p, _, array = _as_array(vec)
     for perm in perms:
         if perm.p != p:
@@ -330,7 +333,11 @@ def apply_stack(perms: Sequence[GenPerm], vec) -> np.ndarray:
     scalars = np.array([[(t.sign, t.exponent) for t in perm.scalars] for perm in perms], dtype=np.int64)
     scalars = scalars.reshape(*shape, 2)
     rotations = scalars[..., :1] * root_table(p)[scalars[..., 1]]
-    return mul_array(rotations, array[cols], p)
+    gathered, d = array[cols], degree(p)
+    if gathered.dtype != object:
+        gathered = gathered.astype(kernel_dtype(d * d * _maxabs(gathered)), copy=False)
+    outer = rotations[..., :, None] * gathered[..., None, :]
+    return outer.reshape(*shape, d * d) @ _product_table(p)
 
 
 # -- conjugation ---------------------------------------------------------------

@@ -145,12 +145,16 @@ def inverse(vec, limit: int | None = None) -> CycVector:
 
 def divide_exact(array: np.ndarray, scale: int, p: int) -> np.ndarray:
     """array / scale for a (..., d) array; NotDivisible names the first inexact entry."""
-    bad = np.flatnonzero((array % scale != 0).any(axis=-1))
+    if array.dtype == object:  # np.divmod has no loop for Python ints
+        quotient, remainder = array // scale, array % scale
+    else:
+        quotient, remainder = np.divmod(array, scale)
+    bad = np.flatnonzero((remainder != 0).any(axis=-1))
     if bad.size:
         i = int(bad[0])
         value = CycInt(p, array.reshape(-1, array.shape[-1])[i])
         raise NotDivisible(f"coordinate {i} = {value} is not a multiple of {scale}", index=i, value=value)
-    return array // scale
+    return quotient
 
 
 def is_flat(vec) -> bool:

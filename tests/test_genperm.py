@@ -31,7 +31,7 @@ from vcbent.genperm import (
     scale,
 )
 from vcbent.mvfunction import MvFunction, add_constant, sign_of
-from vcbent.vctransform import Spectrum, build_c, forward, forward_fast, is_flat
+from vcbent.vctransform import INT64_BOUND, Spectrum, build_c, forward, forward_fast, is_flat
 
 ONE = CycInt.one(3)
 ZERO = CycInt.zero(3)
@@ -429,6 +429,22 @@ def test_vectors_that_mix_radices_raise_radix_mismatch():
         forward_fast(mixed)
     with pytest.raises(RadixMismatch):
         Spectrum(3, 1, mixed)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_apply_stack_picks_its_kernel_from_the_gathered_bound(p):
+    # rotations are -1, 0 or 1, so d²·maxabs of the vector alone decides int64 against Python ints
+    d = degree(p)
+    edge = INT64_BOUND // d**2
+    perms = [GenPerm(p, [(x + 1) % p for x in range(p)], [RootScalar(p, -1, x) for x in range(p)])]
+    for top, dtype in ((edge - 1, np.int64), (edge, object)):
+        array = np.full((p, d), -1, dtype=np.int64)
+        array[1, d - 1] = top
+        s = Spectrum.from_array(p, 1, array)
+        stack = apply_stack(perms, s)
+        assert stack.dtype == dtype
+        want = [t.apply(s[c]) for c, t in zip(perms[0].cols, perms[0].scalars)]
+        assert Spectrum.from_array(p, 1, stack[0]) == Spectrum(p, 1, want)
 
 
 def test_apply_stack_refuses_foreign_sizes_and_radices():

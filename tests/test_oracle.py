@@ -1,12 +1,16 @@
 import cmath
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
+from vcbent import oracle
 from vcbent.bentlab import circular_spectrum
 from vcbent.mvfunction import MvFunction
 from vcbent.oracle import ScanTooLarge, all_bent, all_bent_1place, certify
+
+SCANS = [(3, 1), (3, 2), (4, 1), (5, 1), (6, 1)]
 
 
 def float_spectrum(f):
@@ -110,3 +114,43 @@ def test_all_bent_one_place_counts_match_float_dft(p, count):
     spectra = np.fft.fft(np.exp(2j * np.pi * values / p), axis=1)
     flat = np.all(np.abs(np.abs(spectra) ** 2 - p) < 1e-9, axis=1)
     assert {MvFunction(p, 1, v) for v in values[flat].tolist()} == found
+
+
+def test_all_bent_two_place_matches_float_dft_on_every_candidate(oracle_set):
+    # all 19,683 candidates through an independent float DFT on the 3×3 grid
+    values = np.array(list(product(range(3), repeat=9)))
+    spectra = np.fft.fft2(np.exp(2j * np.pi * values / 3).reshape(-1, 3, 3))
+    flat = np.all(np.abs(np.abs(spectra) ** 2 - 9) < 1e-9, axis=(1, 2))
+    assert {MvFunction(3, 2, v) for v in values[flat].tolist()} == oracle_set
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_join_blocks_that_split_the_pairs_find_the_same_sets(monkeypatch, block):
+    want = {pn: all_bent(*pn) for pn in SCANS}
+    monkeypatch.setattr(oracle, "JOIN_BLOCK", block)
+    for pn in SCANS:
+        assert all_bent(*pn) == want[pn]
+
+
+def test_guard_refuses_before_any_table():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScanTooLarge) as err:
+            all_bent(4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "4^16 = 4294967296 candidate functions exceed 1048576"
+    assert peak < 64 * 1024  # 4^8 half assignments alone would take 4 MB
+
+
+@pytest.mark.parametrize("p,n", SCANS)
+def test_scan_arrays_stay_under_one_megabyte(p, n):
+    all_bent(p, n)  # the kernel's tables are cached on first use
+    tracemalloc.start()
+    try:
+        all_bent(p, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

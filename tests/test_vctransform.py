@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcbent.cyclotomic import CycInt, CycVector, NotDivisible, degree, xi
+from vcbent.cyclotomic import SUPPORTED_RADICES, CycInt, CycVector, NotDivisible, degree, xi
 from vcbent.mvfunction import MvFunction, add_constant, sign_of, try_from_sign
 from vcbent.vctransform import (
     INT64_BOUND,
     SizeLimitExceeded,
     Spectrum,
     build_c,
+    divide_exact,
     format_spectrum_lines,
     forward,
     forward_fast,
@@ -371,6 +372,29 @@ def test_inverse_not_divisible_names_the_first_inexact_coordinate():
         with pytest.raises(NotDivisible, match="coordinate 3 = -7-5x is not a multiple of 9") as err:
             inverse(vec)
         assert err.value.index == first and err.value.value == image[first]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_divide_exact_quotient_and_first_inexact_entry_for_both_dtypes(dtype):
+    # int64 takes one divmod pass, Python ints two; both floor and name the same first bad entry
+    rng = np.random.default_rng(12)
+    for p in SUPPORTED_RADICES:
+        d = degree(p)
+        exact = (rng.integers(-50, 50, size=(4, 9, d)) * 9).astype(dtype)
+        if dtype is object:
+            exact[0, 0, 0] += 9 * 2**70
+        quotient = divide_exact(exact, 9, p)
+        assert quotient.dtype == dtype and quotient.tolist() == [
+            [[c // 9 for c in entry] for entry in row] for row in exact.tolist()
+        ]
+        spoiled = exact.copy()
+        spoiled[2, 5, d - 1] -= 4
+        spoiled[3, 1, 0] += 1
+        value = CycInt(p, spoiled[2, 5])
+        with pytest.raises(NotDivisible) as err:
+            divide_exact(spoiled, 9, p)
+        assert str(err.value) == f"coordinate 23 = {value} is not a multiple of 9"
+        assert err.value.index == 23 and err.value.value == value
 
 
 def test_inverse_builds_no_object_per_point():
