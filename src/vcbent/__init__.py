@@ -17,8 +17,6 @@ from .mvfunction import (
 from .vctransform import (
     Spectrum,
     SizeLimitExceeded,
-    VCMatrix,
-    build_c,
     forward,
     forward_fast,
     inverse,
@@ -32,7 +30,6 @@ from .genperm import (
     apply,
     block_diag,
     compose,
-    conjugate_blockdiag,
     conjugate_by_c,
     conjugate_table,
     diag_from_flat_spectrum,

@@ -116,7 +116,7 @@ def spectra_verdicts(stack: np.ndarray, p: int, n: int) -> list[MvFunction | Not
     rows, stack = rows[keep], stack[keep]
     if not rows.size:
         return verdicts
-    _guard(p, n, None)
+    _guard(p, n)
     images = transform(stack, p, n, conjugate=False)
     keep = _drop_failures(verdicts, rows, (images % p**n != 0).any(axis=-1), images, "not-divisible", p)
     rows, signs = rows[keep], images[keep] // p**n

@@ -368,6 +368,16 @@ def _unit_codes(p: int) -> np.ndarray:
     return _frozen(table)
 
 
+def _check_length(p: int, n: int, length: int, what: str) -> None:
+    """ValueError 'expected <p^n> <what>' unless length = p^n; what may name {p}, {n} and
+    {length}.  A negative n is refused, and a huge one without forming p^n."""
+    if n < 0:
+        raise ValueError("variable count must be >= 0")
+    if n > length.bit_length() or p**n != length:  # p^n ≥ 2^n > length in the first case
+        size = p**n if n <= 64 else f"{p}^{n}"
+        raise ValueError(f"expected {size} " + what.format(p=p, n=n, length=length))
+
+
 def _check_coefficients(array: np.ndarray, shape: tuple) -> None:
     if array.shape != shape:
         raise ValueError(f"expected a {shape} array, got {array.shape}")
@@ -400,8 +410,7 @@ class CycVector:
 
     def __init__(self, p: int, n: int, entries: Iterable[CycInt]):
         entries = tuple(entries)
-        if len(entries) != p**n:
-            raise ValueError(f"expected {p**n} entries for p={p}, n={n}")
+        _check_length(p, n, len(entries), "entries for p={p}, n={n}")
         self.p = p
         self.n = n
         self._entries = entries
@@ -410,6 +419,7 @@ class CycVector:
     @classmethod
     def from_array(cls, p: int, n: int, array: np.ndarray):
         """Wrap a (p^n, d) integer coefficient array, made read-only; entries are built on demand."""
+        _check_length(p, n, len(array) if array.ndim else 0, "rows for p={p}, n={n}, got {length}")
         _check_coefficients(array, (p**n, degree(p)))
         self = object.__new__(cls)
         self.p = p

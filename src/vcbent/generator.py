@@ -238,7 +238,7 @@ def _maiorana_checked(specs: list[MaioranaSpec]) -> list[MvFunction]:
         ]
         functions.append(MvFunction(3, 2 * m, vec_columns(matrix)))
     n = 2 * specs[0].m
-    _guard(3, n, None)
+    _guard(3, n)
     signs = root_table(3)[np.array([f.values for f in functions])]
     if not flat_mask(transform(signs, 3, n, conjugate=True), 3, n).all():
         raise AssertionError("Maiorana construction produced a non-bent function")

@@ -9,11 +9,9 @@ one-row case is GenPerm.apply).  The module provides
   * the diagonal modulation matrices Z = diag(1, ξ, ξ², ...) and Z*,
   * Kronecker / block-diagonal / product composition and scalar rotation,
   * conjugation W = p^(-n)·C(n)·P·C*(n): by two passes of the transform
-    engine (conjugate_by_c), by the precomputed images of Γ (I↦I,
+    engine (conjugate_by_c), and by the precomputed images of Γ (I↦I,
     N↦Z*·P12, P12↦P12, P01↦Z·P12, X↦Z, XT↦Z*), which combine factor-wise
-    over Kronecker products, and for three 3×3 blocks by the paper's
-    additive decomposition (conjugate_blockdiag), which the tests hold to
-    the engine.
+    over Kronecker products.
 
 Conjugating a matrix without Kronecker structure can leave the ring: the
 exact result is then roots/3-valued.  DenseCycMatrix therefore carries a
@@ -180,7 +178,10 @@ class DenseCycMatrix:
         return Spectrum.from_array(p, n, out) if isinstance(vec, Spectrum) else _cyc_list(p, out)
 
     def matmul(self, other: "DenseCycMatrix") -> "DenseCycMatrix":
-        self._check(other)
+        if other.p != self.p:
+            raise RadixMismatch(f"radix mismatch: {self.p} vs {other.p}")
+        if other.size != self.size:
+            raise ValueError("size mismatch")
         num = mul_array(self.num, other.num, self.p, "ikb,kjc->ijbc", terms=self.size)
         return DenseCycMatrix.from_array(self.p, num, self.denom * other.denom)
 
@@ -191,23 +192,9 @@ class DenseCycMatrix:
         num = mul_array(self.num, other.num, self.p, "ijb,klc->ikjlbc")
         return DenseCycMatrix.from_array(self.p, num.reshape(size, size, -1), self.denom * other.denom)
 
-    def add(self, other: "DenseCycMatrix") -> "DenseCycMatrix":
-        self._check(other)
-        denom = math.lcm(self.denom, other.denom)
-        ka, kb = denom // self.denom, denom // other.denom
-        dtype = kernel_dtype(ka * _maxabs(self.num) + kb * _maxabs(other.num))
-        num = self.num.astype(dtype) * ka + other.num.astype(dtype) * kb
-        return DenseCycMatrix.from_array(self.p, num, denom)
-
     def scale_root(self, s: RootScalar) -> "DenseCycMatrix":
         root = s.sign * root_table(self.p)[s.exponent]
         return DenseCycMatrix.from_array(self.p, mul_array(self.num, root, self.p), self.denom)
-
-    def _check(self, other: "DenseCycMatrix") -> None:
-        if other.p != self.p:
-            raise RadixMismatch(f"radix mismatch: {self.p} vs {other.p}")
-        if other.size != self.size:
-            raise ValueError("size mismatch")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseCycMatrix):
@@ -352,7 +339,7 @@ def conjugate_by_c(m) -> "GenPerm | DenseCycMatrix":
     """
     p = m.p
     n = _length_to_n(p, m.size)
-    _guard(p, 2 * n, None)
+    _guard(p, 2 * n)
     dense = as_dense(m)
     cm = transform(dense.num.swapaxes(0, 1), p, n, conjugate=False).swapaxes(0, 1)
     w = transform(cm, p, n, conjugate=True)
@@ -385,32 +372,3 @@ def conjugate_table(name: str) -> GenPerm:
     z, zc, p12 = pauli_z(3), pauli_z(3, conjugated=True), gamma("P12")
     images = {"I": gamma("I"), "N": compose(zc, p12), "P12": p12, "P01": compose(z, p12), "X": z, "XT": zc}
     return images[name]
-
-
-@lru_cache(maxsize=None)
-def c_diag_c_component(index: int) -> DenseCycMatrix:
-    """3^(-1)·C(1)·diag(e_index)·C*(1): the reusable block-diagonal pieces."""
-    if index not in (0, 1, 2):
-        raise ValueError("index must be 0, 1 or 2")
-    selector = np.zeros((3, 3, degree(3)), dtype=np.int64)
-    selector[index, index, 0] = 1
-    return conjugate_by_c(DenseCycMatrix.from_array(3, selector))
-
-
-def conjugate_blockdiag(blocks: Sequence[GenPerm]) -> "GenPerm | DenseCycMatrix":
-    """W(2) for blockdiag(B0, B1, B2) via the additive Kronecker decomposition.
-
-    With the block index on the high base-3 digit,
-    blockdiag(B0, B1, B2) = Σ_i diag(e_i) ⊗ B_i, so
-    W(2) = Σ_i (3^(-1)·C·diag(e_i)·C*) ⊗ (3^(-1)·C·B_i·C*).
-    The selector conjugates are the rank-one matrices exposed as
-    c_diag_c_component().  (For diagonal blocks the two factor orders
-    describe the same matrix; the asymmetric cases fix this one.)
-    W(2) is dense with 3^4 entries, so the size guard is applied to 3^4.
-    conjugate_by_c(block_diag(blocks)) is the same W by the engine.
-    """
-    if len(blocks) != 3 or any(b.size != 3 or b.p != 3 for b in blocks):
-        raise ValueError("expected exactly 3 generalized permutations of size 3 (p=3)")
-    _guard(3, 4, None)
-    terms = [c_diag_c_component(i).kron(as_dense(conjugate_by_c(b))) for i, b in enumerate(blocks)]
-    return _downcast(terms[0].add(terms[1]).add(terms[2]))

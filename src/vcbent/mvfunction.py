@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import (
-    CycInt, CycVector, RadixMismatch, _check_radix, _frozen, _rows_array, _unit_roots, root_table,
+    CycInt, CycVector, RadixMismatch, _check_length, _check_radix, _frozen, _rows_array, _unit_roots, root_table,
 )
 
 
@@ -63,11 +63,8 @@ class MvFunction:
 
     def __init__(self, p: int, n: int, values: Iterable[int]):
         _check_radix(p)
-        if n < 0:
-            raise ValueError("variable count must be >= 0")
         values = tuple(int(v) for v in values)
-        if len(values) != p**n:
-            raise ValueError(f"expected {p**n} values for p={p}, n={n}, got {len(values)}")
+        _check_length(p, n, len(values), "values for p={p}, n={n}, got {length}")
         for v in values:
             if not 0 <= v < p:
                 raise ValueError(f"value {v} outside Z_{p}")

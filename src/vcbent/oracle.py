@@ -31,7 +31,7 @@ def _assignments(p: int, places: int) -> np.ndarray:
     return np.arange(p**places)[:, None] // p ** np.arange(places - 1, -1, -1) % p
 
 
-def all_bent(p: int = 3, n: int = 2, jobs: int = 1) -> set[MvFunction]:
+def all_bent(p: int = 3, n: int = 2) -> set[MvFunction]:
     """Every p-valued n-place function with a flat circular spectrum.
 
     A is the first ⌊p^n/2⌋ points and B the rest.  Each assignment of A (zeros
@@ -40,7 +40,6 @@ def all_bent(p: int = 3, n: int = 2, jobs: int = 1) -> set[MvFunction]:
     |u + v|² = p^n runs once per pair of distinct half values, keyed by their
     coefficients (each within ±p^n) in base 2p^n + 1.  Candidates are looked
     up on w = 0 all at once, then JOIN_BLOCK at a time the survivors on all w.
-    `jobs` is accepted for compatibility and ignored.
     """
     size = p**n
     total = p**size

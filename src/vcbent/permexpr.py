@@ -10,9 +10,9 @@ canonical writer (parse ∘ render ∘ parse is the identity), and
 conjugate_expr() computes W = p^(-n)·C·P·C* structurally: atom images come
 from the conjugation table, Kronecker/product/rotation nodes combine
 factor-wise, 3×3 diagonals come from a cache, and every other block-diagonal
-or diagonal node is conjugated by the transform engine (conjugate_by_c).  A
-node whose W turns dense is refused, like conjugate_by_c, when its p^2n
-entries exceed the size guard.
+or diagonal node is conjugated by the transform engine (conjugate_by_c).  No
+node above the size guard is built, and a node whose W turns dense is refused,
+like conjugate_by_c, when its p^2n entries exceed the guard.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .genperm import (
     _downcast,
 )
 from .mvfunction import _length_to_n
-from .vctransform import _guard
+from .vctransform import SizeLimitExceeded, _guard, size_limit
 
 ATOM_NAMES = ("I", "P01", "P12", "N", "X", "XT", "Z", "Zc")
 
@@ -227,18 +227,28 @@ def _atom_perm(name: str) -> GenPerm:
     return gamma(name)
 
 
+def _check_size(size: int) -> None:
+    if size > size_limit():
+        raise SizeLimitExceeded(f"permutation size {size} exceeds the size limit {size_limit()}")
+
+
 def evaluate(node: Expr) -> GenPerm:
     if isinstance(node, Atom):
         return _atom_perm(node.name)
     if isinstance(node, Rot):
         return scale(evaluate(node.child), RootScalar(3, node.sign, node.k))
     if isinstance(node, Kron):
-        return kron(evaluate(node.left), evaluate(node.right))
+        left, right = evaluate(node.left), evaluate(node.right)
+        _check_size(left.size * right.size)
+        return kron(left, right)
     if isinstance(node, Compose):
         return compose(evaluate(node.left), evaluate(node.right))
     if isinstance(node, BlockDiag):
-        return block_diag([evaluate(i) for i in node.items])
+        items = [evaluate(i) for i in node.items]
+        _check_size(sum(i.size for i in items))
+        return block_diag(items)
     if isinstance(node, Diag):
+        _check_size(len(node.entries))
         return GenPerm.from_diag(3, node.entries)
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -267,15 +277,16 @@ def conjugate_expr(node: Expr) -> "GenPerm | DenseCycMatrix":
     if isinstance(node, (Kron, Compose)):
         left, right = conjugate_expr(node.left), conjugate_expr(node.right)
         is_kron = isinstance(node, Kron)
+        size = left.size * right.size if is_kron else left.size
+        _check_size(size)
         if isinstance(left, GenPerm) and isinstance(right, GenPerm):
             return kron(left, right) if is_kron else compose(left, right)
         # a dense side makes W dense, with size² entries: guard them before they are built
-        size = left.size * right.size if is_kron else left.size
-        _guard(3, 2 * _length_to_n(3, size), None)
+        _guard(3, 2 * _length_to_n(3, size))
         left, right = as_dense(left), as_dense(right)
         return _downcast(left.kron(right) if is_kron else left.matmul(right))
     if isinstance(node, Diag) and len(node.entries) == 3:
-        _guard(3, 2, None)  # conjugate_by_c's guard, run before the cached call
+        _guard(3, 2)  # conjugate_by_c's guard, run before the cached call
         return _diag3_conjugate(node.entries)
     if isinstance(node, (BlockDiag, Diag)):
         return conjugate_by_c(evaluate(node))

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import (
-    CycInt, CycVector, NotDivisible, RadixMismatch, _frozen, _root_coeffs, degree, root_table,
+    CycInt, CycVector, NotDivisible, RadixMismatch, _check_length, _frozen, _root_coeffs, degree, root_table,
 )
 from .mvfunction import _length_to_n, digits_of
 
@@ -44,10 +44,9 @@ def size_limit() -> int:
     return int(raw) if raw else DEFAULT_SIZE_LIMIT
 
 
-def _guard(p: int, n: int, limit: int | None) -> None:
-    bound = size_limit() if limit is None else limit
-    if p**n > bound:
-        raise SizeLimitExceeded(f"{p}^{n} exceeds the size limit {bound}")
+def _guard(p: int, n: int) -> None:
+    if p**n > size_limit():
+        raise SizeLimitExceeded(f"{p}^{n} exceeds the size limit {size_limit()}")
 
 
 class Spectrum(CycVector):
@@ -72,39 +71,7 @@ class Spectrum(CycVector):
         return cls(p, n, (CycInt.root(p, e) * scale for e in exponents))
 
 
-class VCMatrix:
-    """Dense C(n) with entries ξ^⟨j·k⟩."""
-
-    __slots__ = ("p", "n", "rows")
-
-    def __init__(self, p: int, n: int, rows):
-        self.p = p
-        self.n = n
-        self.rows = tuple(tuple(row) for row in rows)
-
-    def __getitem__(self, i: int):
-        return self.rows[i]
-
-
-def build_c(p: int, n: int, limit: int | None = None) -> VCMatrix:
-    """C(n) built as the n-fold Kronecker product of C(1).
-
-    limit caps p^n; the p^2n entries built are held to the size guard.
-    """
-    _guard(p, n, limit)
-    _guard(p, 2 * n, None)
-    roots = [CycInt.root(p, k) for k in range(p)]
-    rows = [[roots[0]]]
-    for _ in range(n):
-        rows = [
-            [roots[(j * k) % p] * cell for k in range(p) for cell in row]
-            for j in range(p)
-            for row in rows
-        ]
-    return VCMatrix(p, n, rows)
-
-
-def _as_array(vec, guard: bool = False, limit: int | None = None) -> tuple[int, int, np.ndarray]:
+def _as_array(vec, guard: bool = False) -> tuple[int, int, np.ndarray]:
     """p, n and the (p^n, d) coefficients of a vector; with guard, the size guard runs first."""
     if not isinstance(vec, CycVector):
         entries = tuple(vec)
@@ -113,17 +80,17 @@ def _as_array(vec, guard: bool = False, limit: int | None = None) -> tuple[int, 
         p = entries[0].p
         vec = Spectrum(p, _length_to_n(p, len(entries)), entries)
     if guard:
-        _guard(vec.p, vec.n, limit)
+        _guard(vec.p, vec.n)
     return vec.p, vec.n, vec.array
 
 
-def forward(vec, limit: int | None = None) -> Spectrum:
+def forward(vec) -> Spectrum:
     """S(w) = Σ_x ξ^(-⟨w·x⟩)·F(x), computed densely and exactly.
 
     The O(p^2n) reference: one ring product of F with the row ξ^(-⟨w·x⟩)
     per output w, so its extra memory stays O(p^n).
     """
-    p, n, array = _as_array(vec, True, limit)
+    p, n, array = _as_array(vec, True)
     size = p**n
     digits = np.array([digits_of(x, p, n) for x in range(size)], dtype=np.int64).reshape(size, n)
     roots = root_table(p)
@@ -131,15 +98,15 @@ def forward(vec, limit: int | None = None) -> Spectrum:
     return Spectrum.from_array(p, n, np.stack(rows))
 
 
-def forward_fast(vec, limit: int | None = None) -> Spectrum:
+def forward_fast(vec) -> Spectrum:
     """The forward transform through the staged engine; identical output to forward()."""
-    p, n, array = _as_array(vec, True, limit)
+    p, n, array = _as_array(vec, True)
     return Spectrum.from_array(p, n, transform(array, p, n, conjugate=True))
 
 
-def inverse(vec, limit: int | None = None) -> CycVector:
+def inverse(vec) -> CycVector:
     """F = p^(-n)·C(n)·S, array-backed, with exact division; NotDivisible when S is not an image."""
-    p, n, array = _as_array(vec, True, limit)
+    p, n, array = _as_array(vec, True)
     return CycVector.from_array(p, n, divide_exact(transform(array, p, n, conjugate=False), p**n, p))
 
 
@@ -289,13 +256,11 @@ def parse_spectrum_lines(lines: Sequence[str]) -> Spectrum:
     body = meaningful[1:]
     if len(body) == 1 and body[0].startswith("exp:"):
         digits = body[0][4:]
-        if len(digits) != p**n:
-            raise ValueError(f"expected {p**n} exponent digits, got {len(digits)}")
+        _check_length(p, n, len(digits), "exponent digits, got {length}")
         exponents = [int(ch) for ch in digits]
         for i, e in enumerate(exponents):
             if e >= p:
                 raise ValueError(f"exponent digit {e} at position {i} is not below {p}")
         return Spectrum.from_strict_exponents(p, n, exponents)
-    if len(body) != p**n:
-        raise ValueError(f"expected {p**n} entries, got {len(body)}")
+    _check_length(p, n, len(body), "entries, got {length}")
     return Spectrum(p, n, (parse_cyc(p, ln) for ln in body))

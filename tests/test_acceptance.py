@@ -121,7 +121,7 @@ def _root_exponent(z: complex) -> int:
 
 def test_criterion_01_oracle_count_and_runtime():
     start = time.perf_counter()
-    found = all_bent(3, 2, jobs=1)
+    found = all_bent(3, 2)
     elapsed = time.perf_counter() - start
     ok = len(found) == 486 and elapsed <= 10.0
     verdict(1, ok, f"exhaustive scan found {len(found)} bent functions in {elapsed:.2f}s")

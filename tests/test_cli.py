@@ -57,11 +57,14 @@ def test_check_above_size_limit_exits_2(monkeypatch, capsys):
     assert "exceeds the size limit 9" in capsys.readouterr().err
 
 
-def test_check_malformed_exits_2():
+def test_check_malformed_exits_2(capsys):
     code, _ = run("check", "--n", "2", "--values", "00001")
     assert code == 2
     code, _ = run("check", "--n", "2", "--values", "000012051")
     assert code == 2
+    code, _ = run("check", "--n", "10000000", "--values", "0")
+    assert code == 2
+    assert "expected 3^10000000 values for p=3, n=10000000, got 1" in capsys.readouterr().err
 
 
 def test_permute_table2():

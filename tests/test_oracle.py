@@ -56,11 +56,9 @@ def test_oracle_agrees_with_float_flatness(oracle_set):
         outside += 1
 
 
-def test_all_bent_deterministic_and_parallel_consistent(oracle_set):
-    small = all_bent(3, 1)
-    assert small == all_bent(3, 1)
-    assert small == all_bent(3, 1, jobs=2)
-    assert all_bent(3, 2, jobs=3) == oracle_set
+def test_all_bent_is_deterministic(oracle_set):
+    assert all_bent(3, 1) == all_bent(3, 1)
+    assert all_bent(3, 2) == oracle_set
 
 
 def test_all_bent_guard():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcbent import permexpr
 from vcbent.cyclotomic import RootScalar
 from vcbent.vctransform import SizeLimitExceeded
 from vcbent.genperm import (
@@ -153,6 +154,27 @@ def test_random_trees_round_trip_and_conjugate_by_both_routes(node):
     dense = conjugate_by_c(evaluate(node))
     assert type(structural) is type(dense)
     assert as_dense(structural) == as_dense(dense)
+
+
+def test_no_node_above_the_size_guard_is_built(monkeypatch):
+    # kron and block_diag are where evaluate and conjugate_expr build a larger permutation
+    monkeypatch.setenv("BENT_SIZE_LIMIT", "26")
+    built = []
+
+    def recording(build):
+        def wrapper(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        return wrapper
+
+    for name in ("kron", "block_diag"):
+        monkeypatch.setattr(permexpr, name, recording(getattr(permexpr, name)))
+    for text in ("kron(I,kron(X,N))", "blockdiag(I,X,N,I,X,N,I,X,N)", "diag(" + ",".join(["1"] * 27) + ")"):
+        for route in (evaluate, conjugate_expr):
+            with pytest.raises(SizeLimitExceeded, match="permutation size 27 exceeds the size limit 26"):
+                route(parse(text))
+    assert built and max(perm.size for perm in built) == 9
 
 
 def test_cached_diagonal_conjugates_stay_guarded(monkeypatch):

@@ -14,7 +14,6 @@ from vcbent.vctransform import (
     INT64_BOUND,
     SizeLimitExceeded,
     Spectrum,
-    build_c,
     divide_exact,
     format_spectrum_lines,
     forward,
@@ -27,6 +26,8 @@ from vcbent.vctransform import (
     spectrum_kron,
     transform,
 )
+
+from reference import build_c
 
 X1X2 = MvFunction.from_digits(3, 2, "000012021")
 
@@ -41,10 +42,9 @@ def rand_vector(rng, p, n, bound=5):
 
 
 def test_build_c_p3_matches_fourier_kernel():
-    c = build_c(3, 1)
     w = xi(3)
     one = CycInt.one(3)
-    assert [list(r) for r in c.rows] == [
+    assert [list(r) for r in build_c(3, 1)] == [
         [one, one, one],
         [one, w, w * w],
         [one, w * w, w],
@@ -52,10 +52,9 @@ def test_build_c_p3_matches_fourier_kernel():
 
 
 def test_build_c_p4():
-    c = build_c(4, 1)
     i = xi(4)
     one = CycInt.one(4)
-    assert [list(r) for r in c.rows] == [
+    assert [list(r) for r in build_c(4, 1)] == [
         [one, one, one, one],
         [one, i, i * i, i * i * i],
         [one, i * i, one, i * i],
@@ -64,12 +63,13 @@ def test_build_c_p4():
 
 
 def test_build_c_kron_structure_agrees_with_scalar_products():
-    from vcbent.mvfunction import scalar_product
-
-    c = build_c(3, 2)
-    for j in range(9):
-        for k in range(9):
-            assert c.rows[j][k] == xi(3, scalar_product(j, k, 3, 2))
+    # C(n) = C(1) ⊗ C(n-1) with C(1) on the high digit: the order of the engine's stages
+    for p, n in ((3, 2), (3, 3), (4, 2)):
+        c, c1, rest = build_c(p, n), build_c(p, 1), build_c(p, n - 1)
+        low = p ** (n - 1)
+        for j in range(p**n):
+            for k in range(p**n):
+                assert c[j][k] == c1[j // low][k // low] * rest[j % low][k % low]
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (4, 1), (5, 1)])
@@ -82,7 +82,7 @@ def test_orthogonality(p, n):
         for j in range(size):
             acc = zero
             for k in range(size):
-                acc = acc + c.rows[i][k] * c.rows[j][k].conj()
+                acc = acc + c[i][k] * c[j][k].conj()
             assert acc == (target if i == j else zero)
 
 
@@ -110,7 +110,7 @@ def test_forward_matches_dense_matrix_product():
     for i in range(9):
         acc = CycInt.zero(3)
         for k in range(9):
-            acc = acc + c.rows[i][k].conj() * vec[k]
+            acc = acc + c[i][k].conj() * vec[k]
         expected.append(acc)
     assert list(forward(vec).entries) == expected
 
@@ -266,16 +266,8 @@ def test_mul_array_bound_counts_contracted_terms(p):
 
 
 def test_size_guard():
-    with pytest.raises(SizeLimitExceeded):
-        build_c(3, 11)
-    with pytest.raises(SizeLimitExceeded):
-        build_c(3, 3, limit=26)
-    assert build_c(3, 3, limit=27).n == 3  # explicit limit overrides the default
-
-
-def test_build_c_guards_its_p_2n_entries():
-    with pytest.raises(SizeLimitExceeded):
-        build_c(3, 6)  # p^n = 3^6 passes, but C(6) holds 3^12 entries
+    with pytest.raises(SizeLimitExceeded, match=r"3\^11 exceeds the size limit"):
+        forward_fast(Spectrum.from_array(3, 11, np.zeros((3**11, 2), dtype=np.int64)))
 
 
 def test_size_guard_env_override(monkeypatch):
@@ -296,6 +288,21 @@ def test_spectrum_file_round_trip():
         parse_spectrum_lines(["3 2", "exp:0001"])
     with pytest.raises(ValueError):
         parse_spectrum_lines(["3 2", "1", "2"])
+    for lines, message in (
+        (["3 -1", "1"], "variable count must be >= 0"),
+        (["3 10000000", "exp:0"], r"expected 3\^10000000 exponent digits, got 1"),
+        (["3 10000000", "1", "1"], r"expected 3\^10000000 entries, got 2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            parse_spectrum_lines(lines)
+
+
+def test_cyc_vector_refuses_a_huge_or_negative_variable_count():
+    for n, message in ((10**7, r"3\^10000000"), (-1, "variable count must be >= 0")):
+        with pytest.raises(ValueError, match=message):
+            CycVector(3, n, [CycInt.one(3)])
+        with pytest.raises(ValueError, match=message):
+            CycVector.from_array(3, n, np.array([[1, 0]]))
 
 
 def test_parse_spectrum_rejects_exponent_digits_not_below_p():
@@ -365,7 +372,7 @@ def test_inverse_equals_a_list_of_the_same_entries_only():
 def test_inverse_not_divisible_names_the_first_inexact_coordinate():
     coeffs = [(-1, 2), (-2, -1), (-2, -1), (0, -1), (-2, 1), (-2, 1), (-2, -1), (1, 0), (1, 0)]
     s = [CycInt(3, c) for c in coeffs]
-    image = [sum((c * e for c, e in zip(row, s)), CycInt.zero(3)) for row in build_c(3, 2).rows]
+    image = [sum((c * e for c, e in zip(row, s)), CycInt.zero(3)) for row in build_c(3, 2)]
     first = next(i for i, v in enumerate(image) if any(c % 9 for c in v.coeffs))
     assert first == 3 and image[first] == CycInt(3, (-7, -5))
     for vec in (s, Spectrum(3, 2, s), Spectrum.from_array(3, 2, np.array(coeffs, dtype=object))):
