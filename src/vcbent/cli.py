@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/affirmative, 1 negative verdict, 2 usage or parse
 error.  All output is deterministic UTF-8; --pretty swaps the machine 'x'
-for ξ in human-facing spectra.
+for ξ in human-facing spectra.  Each command imports the modules it runs,
+so a cold process loads no others.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ import argparse
 import json
 import sys
 
-from . import appendix, bentlab, generator, oracle, permexpr
-from .genperm import apply, as_dense, conjugate_by_c, gamma
-from .mvfunction import MvFunction, _length_to_n, sign_of, try_from_sign
+from .mvfunction import MvFunction, _length_to_n, add_constant, sign_of, try_from_sign
 from .vctransform import (
     Spectrum,
     format_spectrum_lines,
@@ -47,6 +46,8 @@ def _print_spectrum(s: Spectrum, out, pretty: bool) -> None:
 
 
 def cmd_spectrum(args, out) -> int:
+    from . import bentlab
+
     f = MvFunction.from_digits(args.p, args.n, args.values)
     s = forward_fast(sign_of(f))
     _print_spectrum(s, out, args.pretty)
@@ -59,6 +60,8 @@ def cmd_spectrum(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
+    from . import bentlab
+
     f = MvFunction.from_digits(args.p, args.n, args.values)
     verdict = bentlab.is_bent(f)
     print(verdict.to_json(), file=out)
@@ -66,6 +69,8 @@ def cmd_check(args, out) -> int:
 
 
 def _render_matrix(w, out) -> None:
+    from .genperm import as_dense
+
     if w.size > 9:
         return
     dense = as_dense(w)
@@ -77,6 +82,9 @@ def _render_matrix(w, out) -> None:
 
 
 def cmd_permute(args, out) -> int:
+    from . import bentlab, permexpr
+    from .genperm import apply, conjugate_by_c
+
     try:
         expr = permexpr.parse(args.expr)
     except permexpr.ExprParseError as exc:
@@ -115,6 +123,8 @@ def _write_lines(lines, args, out) -> None:
 
 
 def cmd_enumerate(args, out) -> int:
+    from . import generator
+
     if args.all:
         lines = sorted(line for c in range(1, 10) for line in _class_lines(c))
         _write_lines(lines, args, out)
@@ -132,7 +142,7 @@ def cmd_enumerate(args, out) -> int:
 
 
 def _class_lines(class_id: int) -> list[str]:
-    from .mvfunction import add_constant
+    from . import generator
 
     record = generator.generate_class(generator.reference_seed(class_id), class_id)
     lines = []
@@ -143,6 +153,8 @@ def _class_lines(class_id: int) -> list[str]:
 
 
 def cmd_verify_appendix(args, out) -> int:
+    from . import appendix
+
     rows = appendix.load_appendix_rows(args.fixture)
     try:
         checks = appendix.verify_appendix(rows)
@@ -164,6 +176,9 @@ def cmd_verify_appendix(args, out) -> int:
 
 
 def cmd_maiorana(args, out) -> int:
+    from . import generator
+    from .genperm import gamma
+
     if args.m != 1:
         raise UsageError("only --m 1 is enumerable")
     if args.enumerate:
@@ -185,6 +200,8 @@ def cmd_maiorana(args, out) -> int:
 
 
 def cmd_oracle(args, out) -> int:
+    from . import oracle
+
     functions = sorted(f.digit_string() for f in oracle.all_bent(3, 2))
     if args.emit == "tsv":
         lines = functions
@@ -198,11 +215,14 @@ def cmd_oracle(args, out) -> int:
 
 
 def _exps_string(s: Spectrum) -> str:
+    from . import bentlab
+
     return "".join(str(e) for e in bentlab.strict_exponents(s))
 
 
 def _demo_case1(out) -> None:
-    from .genperm import compose, diag_from_flat_spectrum, kron as gkron
+    from . import bentlab
+    from .genperm import apply, diag_from_flat_spectrum, gamma, kron as gkron
 
     f = MvFunction.from_digits(3, 2, "000012021")
     s = bentlab.circular_spectrum(f)
@@ -222,7 +242,8 @@ def _demo_case1(out) -> None:
 
 
 def _demo_case2(out) -> None:
-    from .genperm import conjugate_table, kron as gkron
+    from . import bentlab
+    from .genperm import apply, conjugate_table, gamma, kron as gkron
 
     f = MvFunction.from_digits(3, 2, "000012021")
     s_f = bentlab.circular_spectrum(f)
@@ -243,6 +264,9 @@ def _demo_case2(out) -> None:
 
 
 def _demo_case3(out) -> None:
+    from . import bentlab, permexpr
+    from .genperm import apply, conjugate_by_c
+
     f = MvFunction.from_digits(3, 2, "000012021")
     s_f = bentlab.circular_spectrum(f)
     expr_diag = permexpr.parse("diag(w^2,1,w,1,1,1,w,1,w^2)")
@@ -267,7 +291,8 @@ def _demo_case3(out) -> None:
 
 
 def _demo_case4(out) -> None:
-    from .genperm import diag_from_flat_spectrum
+    from . import bentlab
+    from .genperm import apply, diag_from_flat_spectrum
 
     f1 = MvFunction.from_digits(3, 2, "000012021")
     f2 = MvFunction.from_digits(3, 2, "021201111")
@@ -300,6 +325,8 @@ def _demo_case4(out) -> None:
 
 
 def _demo_theorem4(p: int, out) -> None:
+    from . import bentlab
+
     f = MvFunction(p, 1, range(p))
     print(f"p = {p}, f = {f.digit_string()}", file=out)
     try:

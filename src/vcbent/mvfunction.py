@@ -15,6 +15,7 @@ product function x_1·x_2 therefore has value vector [000 012 021].
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,6 +79,12 @@ class MvFunction:
 
     @classmethod
     def constant(cls, p: int, value: int, n: int = 0) -> "MvFunction":
+        """f ≡ value; a negative n, or a p^n no sequence can hold, is refused without forming p^n."""
+        _check_radix(p)
+        if n < 0:
+            raise ValueError("variable count must be >= 0")
+        if n >= sys.maxsize.bit_length() or p**n > sys.maxsize:  # p^n ≥ 2^n > maxsize in the first case
+            raise ValueError(f"{p}^{n} values exceed the largest sequence length")
         return cls(p, n, (value,) * p**n)
 
     def digit_string(self) -> str:

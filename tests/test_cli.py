@@ -315,3 +315,48 @@ def test_demo_theorem4():
 def test_usage_error_exit_code():
     code, _ = run("enumerate")
     assert code == 2
+
+
+# -- cold processes -----------------------------------------------------------------
+
+_BASE = ["vcbent", "vcbent.cli", "vcbent.cyclotomic", "vcbent.mvfunction", "vcbent.vctransform"]
+_LOADS = [
+    (["check", "--n", "2", "--values", "000012021"], ["bentlab"]),
+    (["spectrum", "--n", "2", "--values", "000012021"], ["bentlab"]),
+    (["oracle", "--emit", "json"], ["oracle"]),
+    (
+        ["permute", "--expr=kron(N,N)", "--function", "000012021", "--via", "table"],
+        ["bentlab", "genperm", "permexpr"],
+    ),
+    (["verify-appendix"], ["appendix", "bentlab", "generator", "genperm"]),
+]
+
+
+@pytest.mark.parametrize("argv, extra", _LOADS, ids=[argv[0] for argv, _ in _LOADS])
+def test_each_command_loads_only_the_modules_it_runs(fresh_python, argv, extra):
+    # an eager import anywhere on the command's path shows up here as an extra module
+    probe = (
+        "import io, sys\n"
+        "from vcbent import cli\n"
+        "code = cli.main(sys.argv[1:], out=io.StringIO())\n"
+        "print(code, *sorted(m for m in sys.modules if m.partition('.')[0] == 'vcbent'))\n"
+    )
+    proc = fresh_python("-c", probe, *argv)
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, *loaded = proc.stdout.decode().split()
+    assert code == "0"
+    assert loaded == sorted(_BASE + [f"vcbent.{name}" for name in extra])
+
+
+@pytest.mark.parametrize(
+    "values, expected_code",
+    [("000012021", 0), ("000000000", 1), ("000012051", 2)],
+    ids=["bent", "not-bent", "malformed"],
+)
+def test_module_entry_point_matches_main(fresh_python, capsys, values, expected_code):
+    argv = ["check", "--n", "2", "--values", values]
+    proc = fresh_python("-m", "vcbent", *argv)
+    code, text = run(*argv)
+    assert proc.returncode == code == expected_code
+    assert proc.stdout == text.encode()
+    assert proc.stderr.decode() == capsys.readouterr().err

@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,22 @@ def test_value_validation():
         MvFunction(3, 10**7, (0,))
     with pytest.raises(ValueError, match="variable count must be >= 0"):
         MvFunction(3, -1, (0,))
+
+
+def test_constant_checks_n_before_forming_its_values():
+    with pytest.raises(ValueError, match="variable count must be >= 0"):
+        MvFunction.constant(3, 0, -1)
+    assert MvFunction.constant(3, 2, 2).digit_string() == "222222222"
+    # refused before (0,) * 3^n is formed, and before 3^(10^7) is computed
+    tracemalloc.start()
+    try:
+        for n in (40, 10**7):
+            with pytest.raises(ValueError, match=rf"3\^{n} values exceed the largest sequence length"):
+                MvFunction.constant(3, 0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 @settings(max_examples=60, deadline=None)
