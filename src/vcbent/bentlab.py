@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import CycInt, _check_coefficients, _unit_roots, degree
-from .mvfunction import MvFunction, add_constant, sign_of
+from .mvfunction import MvFunction, add_constant, functions_of, sign_of
 from .vctransform import Spectrum, _guard, flat_mask, forward_fast, transform
 
 
@@ -122,8 +122,8 @@ def spectra_verdicts(stack: np.ndarray, p: int, n: int) -> list[MvFunction | Not
     rows, signs = rows[keep], images[keep] // p**n
     sign, exponents, ok = _unit_roots(signs, p, 1)
     keep = _drop_failures(verdicts, rows, ~ok | (sign != 1), signs, "not-a-sign", p)
-    for r, values in zip(rows[keep].tolist(), exponents[keep].tolist()):
-        verdicts[r] = MvFunction(p, n, values)
+    for r, g in zip(rows[keep].tolist(), functions_of(p, n, exponents[keep])):
+        verdicts[r] = g
     return verdicts
 
 
@@ -170,8 +170,7 @@ def _strict_decode(stack: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.nd
 
 def dual(f: MvFunction) -> MvFunction:
     """The exponent function of a strict bent spectrum; itself bent."""
-    t = strict_exponents(circular_spectrum(f))
-    return MvFunction(f.p, f.n, t)
+    return functions_of(f.p, f.n, strict_exponent_rows(circular_spectrum(f).array[None], f.p, f.n))[0]
 
 
 def negate_classify(f: MvFunction) -> MvFunction:

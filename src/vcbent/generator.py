@@ -28,7 +28,7 @@ from .genperm import GAMMA_NAMES, GenPerm, apply, apply_stack, block_diag, gamma
 from .mvfunction import (
     GF3Polynomial,
     MvFunction,
-    add_constant,
+    functions_of,
     scalar_product,
     tensor_sum,
     vec_columns,
@@ -178,10 +178,8 @@ def generate_class(seed: MvFunction, class_id: int | None = None) -> ClassRecord
 
 def expand_rotations(record: ClassRecord) -> list[MvFunction]:
     """The 18 primitives plus each shifted by 1 and by 2: the full class of 54."""
-    out = []
-    for c in (0, 1, 2):
-        for row in record.rows:
-            out.append(add_constant(row.g, c))
+    base = np.array([row.g.values for row in record.rows])
+    out = functions_of(3, 2, ((base + np.arange(3)[:, None, None]) % 3).reshape(-1, 9))
     if len(set(out)) != 54:
         raise DegenerateSeed(f"class of {record.seed.digit_string()} is not 54 functions")
     return out
@@ -220,7 +218,7 @@ def maiorana(spec: MaioranaSpec) -> MvFunction:
 
 def _maiorana_checked(specs: list[MaioranaSpec]) -> list[MvFunction]:
     """maiorana() of each spec (one m for all), checked bent by one transform and one flatness mask."""
-    functions = []
+    rows = []
     for m, q, v in ((spec.m, spec.q, spec.v) for spec in specs):
         side = 3**m
         if q.size != side or q.p != 3:
@@ -236,10 +234,12 @@ def _maiorana_checked(specs: list[MaioranaSpec]) -> list[MvFunction]:
             [(scalar_product(i, inv_col[j], 3, m) + v.values[j]) % 3 for j in range(side)]
             for i in range(side)
         ]
-        functions.append(MvFunction(3, 2 * m, vec_columns(matrix)))
+        rows.append(vec_columns(matrix))
     n = 2 * specs[0].m
+    values = np.array(rows)
+    functions = functions_of(3, n, values)
     _guard(3, n)
-    signs = root_table(3)[np.array([f.values for f in functions])]
+    signs = root_table(3)[values]
     if not flat_mask(transform(signs, 3, n, conjugate=True), 3, n).all():
         raise AssertionError("Maiorana construction produced a non-bent function")
     return functions
@@ -251,7 +251,7 @@ def maiorana_enumerate(m: int = 1) -> set[MvFunction]:
         raise SizeLimitExceeded(
             f"enumeration at m={m} needs ({3**m})! straight permutations; only m=1 is tabulated"
         )
-    shifts = [MvFunction(3, m, values) for values in product(range(3), repeat=3**m)]
+    shifts = functions_of(3, m, np.array(list(product(range(3), repeat=3**m))))
     return set(_maiorana_checked([MaioranaSpec(m, gamma(name), v) for name in GAMMA_NAMES for v in shifts]))
 
 

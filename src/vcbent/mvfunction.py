@@ -14,6 +14,7 @@ product function x_1·x_2 therefore has value vector [000 012 021].
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from typing import Iterable, Sequence
@@ -64,14 +65,23 @@ class MvFunction:
 
     def __init__(self, p: int, n: int, values: Iterable[int]):
         _check_radix(p)
-        values = tuple(int(v) for v in values)
-        _check_length(p, n, len(values), "values for p={p}, n={n}, got {length}")
+        values = _integers(values)
+        _check_length(p, n, len(values), _VALUE_COUNT)
         for v in values:
             if not 0 <= v < p:
                 raise ValueError(f"value {v} outside Z_{p}")
         self.p = p
         self.n = n
         self.values = values
+
+    @classmethod
+    def _trusted(cls, p: int, n: int, values: tuple) -> "MvFunction":
+        """From a tuple of p^n Python ints in 0..p-1 already checked; no checks."""
+        self = object.__new__(cls)
+        self.p = p
+        self.n = n
+        self.values = values
+        return self
 
     @classmethod
     def from_digits(cls, p: int, n: int, text: str) -> "MvFunction":
@@ -122,6 +132,42 @@ class MvFunction:
         return f"MvFunction({self.p}, {self.n}, {self.digit_string()!r})"
 
 
+_VALUE_COUNT = "values for p={p}, n={n}, got {length}"
+
+
+def _integers(values: Iterable) -> tuple[int, ...]:
+    """The values as Python ints by operator.index; ValueError names the first that is not an integer."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for v in values:
+            try:
+                operator.index(v)
+            except TypeError:
+                raise ValueError(f"value {v!r} is not an integer") from None
+        raise
+
+
+def functions_of(p: int, n: int, rows: np.ndarray) -> list[MvFunction]:
+    """MvFunction(p, n, row) for each row of a (B, p^n) integer array, checked once.
+
+    Refuses what the per-row constructor refuses, with its message (the first
+    bad value in row-major order), and any array whose dtype is not an integer type.
+    """
+    _check_radix(p)
+    if rows.dtype.kind not in "iu":
+        raise ValueError(f"expected integer values, got dtype {rows.dtype}")
+    if rows.ndim != 2:
+        raise ValueError(f"expected a (B, p^n) array of values, got shape {rows.shape}")
+    _check_length(p, n, rows.shape[1], _VALUE_COUNT)
+    bad = (rows < 0) | (rows >= p)
+    if bad.any():
+        raise ValueError(f"value {int(rows.flat[bad.argmax()])} outside Z_{p}")
+    trusted = MvFunction._trusted
+    return [trusted(p, n, values) for values in map(tuple, rows.tolist())]
+
+
 class SignVector(CycVector):
     """Length-p^n vector of +ξ^k values: the sign representation ξ^f."""
 
@@ -134,7 +180,7 @@ class SignVector(CycVector):
         # the entries before a foreign one are decoded first, so the lower index is reported
         if foreign != 0:
             self._array = _rows_array([e.coeffs for e in entries[:foreign]])
-            self._exponents = _sign_exponents(p, self._array)
+            self._exponents = tuple(_sign_exponents(p, self._array).tolist())
         if foreign is not None:
             raise RadixMismatch(f"entry {foreign} is not in Z[ξ_{p}]")
 
@@ -142,7 +188,7 @@ class SignVector(CycVector):
     def from_array(cls, p: int, n: int, array: np.ndarray) -> "SignVector":
         """Decode a (p^n, d) integer coefficient array, made read-only; NotASign at the first non-sign."""
         self = super().from_array(p, n, array)
-        self._exponents = _sign_exponents(p, array)
+        self._exponents = tuple(_sign_exponents(p, array).tolist())
         return self
 
     def exponents(self) -> tuple[int, ...]:
@@ -156,14 +202,14 @@ class SignVector(CycVector):
         return _frozen(root_table(self.p)[np.array(self._exponents, dtype=np.intp)])
 
 
-def _sign_exponents(p: int, array: np.ndarray) -> tuple[int, ...]:
+def _sign_exponents(p: int, array: np.ndarray) -> np.ndarray:
     """k with array[x] = +ξ^k[x], the one sign decode; NotASign names the first other entry."""
     sign, exponents, ok = _unit_roots(array, p, 1)
     ok &= sign == 1
     if not ok.all():
         i = int(ok.argmin())
         raise NotASign(i, CycInt(p, array[i]))
-    return tuple(exponents.tolist())
+    return exponents
 
 
 def sign_of(f: MvFunction) -> SignVector:
@@ -194,7 +240,7 @@ def try_from_sign(entries) -> MvFunction:
         entries = SignVector(p, _length_to_n(p, len(seq)), seq)
     if isinstance(entries, SignVector):
         return MvFunction(entries.p, entries.n, entries.exponents())
-    return MvFunction(entries.p, entries.n, _sign_exponents(entries.p, entries.array))
+    return functions_of(entries.p, entries.n, _sign_exponents(entries.p, entries.array)[None])[0]
 
 
 def add_constant(f: MvFunction, c: int) -> MvFunction:

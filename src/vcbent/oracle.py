@@ -1,8 +1,10 @@
 """Independent brute-force ground truth: exhaustive bent-function scans.
 
 all_bent() decides every value vector exactly by joining two tables of
-half-spectra, not by a transform per candidate.  It shares nothing with the
-constructive generator, so set equality between the two certifies both.
+half-spectra, not by a transform per candidate: w = 0 for every candidate
+at once, then the survivors of each block one w at a time, skipping blocks
+with none.  It shares nothing with the constructive generator, so set
+equality between the two certifies both.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import degree, root_table
-from .mvfunction import MvFunction
+from .mvfunction import MvFunction, functions_of
 from .vctransform import flat_mask, transform
 
 # p^(p^n) candidate functions must stay enumerable at desk scale
@@ -39,8 +41,11 @@ def all_bent(p: int = 3, n: int = 2) -> set[MvFunction]:
     codes_a[a] ‖ codes_b[b], has spectrum T_A[a] + T_B[b].  flat_mask's exact
     |u + v|² = p^n runs once per pair of distinct half values, keyed by their
     coefficients (each within ±p^n) in base 2p^n + 1.  Candidates are looked
-    up on w = 0 all at once, then JOIN_BLOCK at a time the survivors on all w.
+    up on w = 0 all at once, then JOIN_BLOCK at a time the survivors are
+    filtered one w after another; a block with no w = 0 survivor is skipped.
     """
+    if n < 0:
+        raise ValueError("variable count must be >= 0")
     size = p**n
     total = p**size
     if total > SCAN_GUARD:
@@ -57,13 +62,20 @@ def all_bent(p: int = 3, n: int = 2) -> set[MvFunction]:
     values = tables[index]
     flat = flat_mask(values[:, None] + values, p, n)
     ids_a, ids_b = np.split(ids.reshape(-1, size), [len(codes_a)])
-    at_zero = flat[ids_a[:, :1], ids_b[:, 0]].reshape(-1)  # one bool per candidate
-    rows = []
+    at_zero = flat[ids_a[:, 0]][:, ids_b[:, 0]].reshape(-1)  # one bool per candidate
+    # pair (u, v) of distinct half values sits at u·len(values) + v of the flat table
+    pair_a, pair_b, pairs = (ids_a * len(values)).T, ids_b.T, flat.reshape(-1)
+    rows = [np.empty((0, size), dtype=codes_a.dtype)]
     for start in range(0, total, JOIN_BLOCK):
-        a, b = np.divmod(start + np.flatnonzero(at_zero[start : start + JOIN_BLOCK]), len(codes_b))
-        keep = flat[ids_a[a], ids_b[b]].all(axis=-1)
-        rows += np.concatenate([codes_a[a[keep]], codes_b[b[keep]]], axis=1).tolist()
-    return {MvFunction(p, n, row) for row in rows}
+        hits = np.flatnonzero(at_zero[start : start + JOIN_BLOCK])
+        if not hits.size:
+            continue
+        a, b = np.divmod(start + hits, len(codes_b))
+        for w in range(1, size):
+            keep = pairs[pair_a[w][a] + pair_b[w][b]]
+            a, b = a[keep], b[keep]
+        rows.append(np.concatenate([codes_a[a], codes_b[b]], axis=1))
+    return set(functions_of(p, n, np.concatenate(rows)))
 
 
 def all_bent_1place() -> set[MvFunction]:

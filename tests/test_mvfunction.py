@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import sys
 import tracemalloc
 
@@ -18,6 +19,7 @@ from vcbent.mvfunction import (
     add_constant,
     digits_of,
     eval_polynomial,
+    functions_of,
     index_of,
     scalar_product,
     sign_of,
@@ -243,6 +245,60 @@ def test_value_validation():
         MvFunction(3, 10**7, (0,))
     with pytest.raises(ValueError, match="variable count must be >= 0"):
         MvFunction(3, -1, (0,))
+
+
+def test_values_must_be_integers():
+    # int() used to truncate 0.5 and 2.9 and parse '1'
+    for values, bad in (([0.5, 1, 2.9], "0.5"), ([0, "1", 2], "'1'"), ([0, 1, np.float64(2.0)], "np.float64(2.0)")):
+        with pytest.raises(ValueError, match=rf"^value {re.escape(bad)} is not an integer$"):
+            MvFunction(3, 1, values)
+    f = MvFunction(3, 1, [np.int64(0), True, np.uint8(2)])
+    assert f.values == (0, 1, 2) and all(type(v) is int for v in f.values)
+    for dtype in (np.float64, bool, object):
+        with pytest.raises(ValueError, match=rf"^expected integer values, got dtype {np.dtype(dtype)}$"):
+            functions_of(3, 1, np.zeros((2, 3), dtype=dtype))
+    with pytest.raises(ValueError, match=r"^expected a \(B, p\^n\) array of values, got shape \(3,\)$"):
+        functions_of(3, 1, np.zeros(3, dtype=np.int64))
+    assert functions_of(3, 1, np.zeros((0, 3), dtype=np.int64)) == []
+
+
+def _made(build):
+    """A built list of functions, or the (type, message) of what refused it."""
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_functions_of_equals_the_per_row_constructor(data):
+    p = data.draw(st.sampled_from((3, 4, 5, 6)), label="p")
+    n = data.draw(st.integers(0, {3: 4, 4: 3, 5: 2, 6: 2}[p]), label="n")
+    length = p**n
+    if data.draw(st.booleans(), label="wrong length"):
+        length = data.draw(st.integers(0, 90).filter(lambda k: k != p**n), label="length")
+    value = st.integers(0, p - 1)
+    if data.draw(st.booleans(), label="out of range"):
+        value = st.one_of(value, st.integers(-300, -1), st.integers(p, 300))
+    rows = data.draw(st.lists(st.lists(value, min_size=length, max_size=length), min_size=1, max_size=6), label="rows")
+    flat = [v for row in rows for v in row]
+    low, high = min(flat, default=0), max(flat, default=0)
+    fits = [t for t in (np.int64, np.int16, np.uint16, np.uint8) if np.iinfo(t).min <= low and high <= np.iinfo(t).max]
+    array = np.array(rows, dtype=data.draw(st.sampled_from(fits), label="dtype"))
+    q = data.draw(st.sampled_from((p, p, p, 2, 7)), label="radix given")
+
+    reference = _made(lambda: [MvFunction(q, n, row) for row in array.tolist()])
+    decoded = _made(lambda: functions_of(q, n, array))
+    assert decoded == reference  # the same functions, or the same error and message
+    if isinstance(reference, tuple):
+        return
+    assert [f.values for f in decoded] == [f.values for f in reference]
+    assert all(type(v) is int for f in decoded for v in f.values)
+    assert [hash(f) for f in decoded] == [hash(f) for f in reference]
+    assert [f.digit_string() for f in decoded] == [f.digit_string() for f in reference]
+    assert [a < b for a in decoded for b in decoded] == [a < b for a in reference for b in reference]
+    assert [(f.p, f.n) for f in decoded] == [(q, n)] * len(rows)
 
 
 def test_constant_checks_n_before_forming_its_values():

@@ -122,12 +122,26 @@ def test_all_bent_two_place_matches_float_dft_on_every_candidate(oracle_set):
     assert {MvFunction(3, 2, v) for v in values[flat].tolist()} == oracle_set
 
 
-@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("block", [1, 7, 2**20])
 def test_join_blocks_that_split_the_pairs_find_the_same_sets(monkeypatch, block):
     want = {pn: all_bent(*pn) for pn in SCANS}
     monkeypatch.setattr(oracle, "JOIN_BLOCK", block)
     for pn in SCANS:
         assert all_bent(*pn) == want[pn]
+
+
+def test_scan_with_no_w0_survivor_returns_an_empty_set():
+    # no Z_6 function of one variable has |S(0)|² = 6 (float check), so every join block is skipped
+    values = np.array(list(product(range(6), repeat=6)))
+    assert np.all(np.abs(np.abs(np.exp(2j * np.pi * values / 6).sum(axis=1)) ** 2 - 6) > 1e-9)
+    found = all_bent(6, 1)
+    assert type(found) is set and found == set()
+
+
+@pytest.mark.parametrize("p,n", [(3, -1), (6, -2)])
+def test_negative_variable_count_is_refused(p, n):
+    with pytest.raises(ValueError, match="^variable count must be >= 0$"):
+        all_bent(p, n)
 
 
 def test_guard_refuses_before_any_table():
