@@ -294,10 +294,6 @@ class RootScalar:
     def conj(self) -> "RootScalar":
         return RootScalar(self.p, self.sign, -self.exponent)
 
-    @property
-    def is_one(self) -> bool:
-        return self.sign == 1 and self.exponent == 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootScalar):
             return NotImplemented

@@ -227,9 +227,7 @@ def _maiorana_checked(specs: list[MaioranaSpec]) -> list[MvFunction]:
             raise ValueError("Maiorana permutation must be straight (all scalars 1)")
         if v.p != 3 or v.n != m:
             raise ValueError(f"shift function must be ternary on {m} variables")
-        inv_col = [0] * side
-        for r, c in enumerate(q.cols):
-            inv_col[c] = r
+        inv_col = sorted(range(side), key=q.cols.__getitem__)  # the row holding each column
         matrix = [
             [(scalar_product(i, inv_col[j], 3, m) + v.values[j]) % 3 for j in range(side)]
             for i in range(side)

@@ -1,17 +1,16 @@
 """Generalized permutation matrices and their conjugation by the transform.
 
 A generalized permutation has exactly one nonzero entry per row and column,
-each of the form ±ξ^k; it is stored row-sparse as (column, scalar) pairs and
-applied by one gather and rotation of a coefficient array (apply_stack, whose
-one-row case is GenPerm.apply).  The module provides
+each of the form ±ξ^k; it is stored as int tuples of columns, signs and
+exponents and applied by one gather and rotation of a coefficient array
+(apply_stack, whose one-row case is GenPerm.apply).  The module provides
 
-  * the six elementary 3×3 straight permutations Γ = {I, P01, P12, N, X, XT},
-  * the diagonal modulation matrices Z = diag(1, ξ, ξ², ...) and Z*,
+  * one table of eight EA(1,3) atoms (a, t, m), row r holding ξ^(m·r) at column
+    a·r + t: Γ = {I, P01, P12, N, X, XT}, and Z = diag(1, ξ, ξ²) and Z*,
   * Kronecker / block-diagonal / product composition and scalar rotation,
   * conjugation W = p^(-n)·C(n)·P·C*(n): by two passes of the transform
-    engine (conjugate_by_c), and by the precomputed images of Γ (I↦I,
-    N↦Z*·P12, P12↦P12, P01↦Z·P12, X↦Z, XT↦Z*), which combine factor-wise
-    over Kronecker products.
+    engine (conjugate_by_c), and for atoms by the image ξ^(-a·t·(r + m)) at
+    column a·(r + m) in row r, combined factor-wise over Kronecker products.
 
 Conjugating a matrix without Kronecker structure can leave the ring: the
 exact result is then roots/3-valued.  DenseCycMatrix therefore carries a
@@ -28,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import (
-    CycInt, RadixMismatch, RootScalar, _check_coefficients, _cyc_list, _frozen,
+    CycInt, RadixMismatch, RootScalar, _check_coefficients, _check_radix, _cyc_list, _frozen,
     _rows_array, _unit_roots, degree, root_table,
 )
 from .mvfunction import _length_to_n
@@ -42,44 +41,70 @@ class NotFlat(ValueError):
     """Spectrum is not p^(n/2) times unit roots, so it defines no diagonal."""
 
 
-GAMMA_NAMES = ("I", "P01", "P12", "N", "X", "XT")
-
-# row -> column maps of the elementary straight permutations
-_GAMMA_COLS = {
-    "I": (0, 1, 2),
-    "P01": (1, 0, 2),
-    "P12": (0, 2, 1),
-    "N": (2, 1, 0),
-    "X": (2, 0, 1),
-    "XT": (1, 2, 0),
+# EA(1,3) atoms (a, t, m): row r holds ξ^(m·r) at column a·r + t
+_ATOMS = {
+    "I": (1, 0, 0),
+    "P01": (2, 1, 0),
+    "P12": (2, 0, 0),
+    "N": (2, 2, 0),
+    "X": (1, 2, 0),
+    "XT": (1, 1, 0),
+    "Z": (1, 0, 1),
+    "Zc": (1, 0, 2),
 }
+ATOM_NAMES = tuple(_ATOMS)
+GAMMA_NAMES = ATOM_NAMES[:6]
+
+
+def _unit(p: int, s: RootScalar) -> tuple[int, int]:
+    """(sign, exponent) of s over radix p as GenPerm stores it: for even p, -ξ^k is ξ^(k + p/2)."""
+    if s.p != p:
+        raise RadixMismatch(f"scalar {s!r} not over radix {p}")
+    if s.sign < 0 and p % 2 == 0:
+        return 1, (s.exponent + p // 2) % p
+    return s.sign, s.exponent
 
 
 class GenPerm:
-    """Sparse generalized permutation: rows[r] = (column, ±ξ^k)."""
+    """Row r holds signs[r]·ξ^exponents[r] at column cols[r], all Python ints; exponents
+    are reduced mod p and even p stores -ξ^k as ξ^(k + p/2), so == compares matrices."""
 
-    __slots__ = ("p", "size", "cols", "scalars")
+    __slots__ = ("p", "cols", "signs", "exponents")
 
     def __init__(self, p: int, cols: Sequence[int], scalars: Sequence[RootScalar]):
         cols = tuple(cols)
         scalars = tuple(scalars)
-        size = len(cols)
-        if len(scalars) != size:
+        if len(scalars) != len(cols):
             raise ValueError("columns and scalars differ in length")
-        if sorted(cols) != list(range(size)):
+        if sorted(cols) != list(range(len(cols))):
             raise ValueError(f"column indices {cols} are not a permutation")
-        for s in scalars:
-            if s.p != p:
-                raise RadixMismatch(f"scalar {s!r} not over radix {p}")
+        self._set(p, [(c, *_unit(p, s)) for c, s in zip(cols, scalars)])
+
+    @classmethod
+    def _trusted(cls, p: int, rows: Iterable[tuple[int, int, int]]) -> "GenPerm":
+        """From (column, sign, exponent) rows already valid and in _unit's form; no checks."""
+        return object.__new__(cls)._set(p, rows)
+
+    def _set(self, p: int, rows) -> "GenPerm":
         self.p = p
-        self.size = size
-        self.cols = cols
-        self.scalars = scalars
+        self.cols, self.signs, self.exponents = tuple(zip(*rows)) or ((), (), ())
+        return self
 
     @classmethod
     def from_diag(cls, p: int, scalars: Iterable[RootScalar]) -> "GenPerm":
         scalars = tuple(scalars)
         return cls(p, range(len(scalars)), scalars)
+
+    @property
+    def size(self) -> int:
+        return len(self.cols)
+
+    @property
+    def scalars(self) -> tuple[RootScalar, ...]:
+        return tuple(RootScalar(self.p, s, k) for s, k in zip(self.signs, self.exponents))
+
+    def _rows(self):
+        return zip(self.cols, self.signs, self.exponents)
 
     def apply(self, vec):
         """Matrix-vector product, the one-row case of apply_stack; Spectrum in
@@ -89,21 +114,21 @@ class GenPerm:
 
     def to_dense(self) -> "DenseCycMatrix":
         num = np.zeros((self.size, self.size, degree(self.p)), dtype=np.int64)
-        signs = np.array([s.sign for s in self.scalars])
-        exponents = [s.exponent for s in self.scalars]
-        num[np.arange(self.size), list(self.cols)] = signs[:, None] * root_table(self.p)[exponents]
+        signs = np.array(self.signs, dtype=np.int64)
+        num[np.arange(self.size), list(self.cols)] = signs[:, None] * root_table(self.p)[list(self.exponents)]
         return DenseCycMatrix.from_array(self.p, num)
 
     def is_straight(self) -> bool:
-        return all(s.is_one for s in self.scalars)
+        return -1 not in self.signs and not any(self.exponents)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GenPerm):
             return NotImplemented
-        return (self.p, self.cols, self.scalars) == (other.p, other.cols, other.scalars)
+        return (self.p, self.cols, self.signs, self.exponents) == (
+            other.p, other.cols, other.signs, other.exponents)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.cols, self.scalars))
+        return hash((self.p, self.cols, self.signs, self.exponents))
 
     def __repr__(self) -> str:
         entries = ", ".join(
@@ -218,36 +243,41 @@ def as_dense(m) -> DenseCycMatrix:
 
 
 def identity(p: int, size: int) -> GenPerm:
-    one = RootScalar(p)
-    return GenPerm(p, range(size), [one] * size)
+    _check_radix(p)
+    return GenPerm._trusted(p, [(r, 1, 0) for r in range(size)])
+
+
+def _ea13(a: int, t: int, m: int, c: int = 0) -> GenPerm:
+    """Row r holds ξ^(m·r + c) at column a·r + t (p = 3)."""
+    return GenPerm._trusted(3, [((a * r + t) % 3, 1, (m * r + c) % 3) for r in range(3)])
+
+
+@lru_cache(maxsize=None)
+def atom(name: str, names: tuple = ATOM_NAMES) -> GenPerm:
+    """The EA(1,3) atom of the table called name, which must be one of names."""
+    if name not in names:
+        raise ValueError(f"unknown elementary permutation {name!r}; expected {names}")
+    return _ea13(*_ATOMS[name])
 
 
 def gamma(name: str) -> GenPerm:
     """One of the elementary 3×3 straight permutations Γ (p = 3)."""
-    cols = _GAMMA_COLS.get(name)
-    if cols is None:
-        raise ValueError(f"unknown elementary permutation {name!r}; expected {GAMMA_NAMES}")
-    one = RootScalar(3)
-    return GenPerm(3, cols, [one] * 3)
+    return atom(name, GAMMA_NAMES)
 
 
 def pauli_z(p: int, conjugated: bool = False) -> GenPerm:
     """diag(1, ξ, ξ², ...) or its conjugate diag(1, ξ^-1, ...)."""
-    step = -1 if conjugated else 1
-    return GenPerm.from_diag(p, (RootScalar(p, 1, step * k) for k in range(p)))
+    _check_radix(p)
+    return GenPerm._trusted(p, [(k, 1, -k % p if conjugated else k) for k in range(p)])
 
 
 def kron(a: GenPerm, b: GenPerm) -> GenPerm:
     """Kronecker product; the first factor owns the high digits."""
     if a.p != b.p:
         raise RadixMismatch(f"radix mismatch: {a.p} vs {b.p}")
-    cols = []
-    scalars = []
-    for c1, s1 in zip(a.cols, a.scalars):
-        for c2, s2 in zip(b.cols, b.scalars):
-            cols.append(c1 * b.size + c2)
-            scalars.append(s1 * s2)
-    return GenPerm(a.p, cols, scalars)
+    size = b.size
+    return GenPerm._trusted(a.p, [(c * size + d, s * t, (k + j) % a.p)
+                                  for c, s, k in a._rows() for d, t, j in b._rows()])
 
 
 def compose(a: GenPerm, b: GenPerm) -> GenPerm:
@@ -256,33 +286,26 @@ def compose(a: GenPerm, b: GenPerm) -> GenPerm:
         raise RadixMismatch(f"radix mismatch: {a.p} vs {b.p}")
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    cols = []
-    scalars = []
-    for ca, sa in zip(a.cols, a.scalars):
-        cols.append(b.cols[ca])
-        scalars.append(sa * b.scalars[ca])
-    return GenPerm(a.p, cols, scalars)
+    return GenPerm._trusted(a.p, [(b.cols[c], s * b.signs[c], (k + b.exponents[c]) % a.p)
+                                  for c, s, k in a._rows()])
 
 
 def scale(a: GenPerm, s: RootScalar) -> GenPerm:
     """Rotate every nonzero entry by the scalar s."""
-    return GenPerm(a.p, a.cols, [s * t for t in a.scalars])
+    sign, k = _unit(a.p, s)
+    return GenPerm._trusted(a.p, [(c, sign * t, (k + j) % a.p) for c, t, j in a._rows()])
 
 
 def block_diag(blocks: Sequence[GenPerm]) -> GenPerm:
     if not blocks:
         raise ValueError("no blocks")
     p = blocks[0].p
-    cols = []
-    scalars = []
-    offset = 0
+    rows = []
     for blk in blocks:
         if blk.p != p:
             raise RadixMismatch("blocks with mixed radices")
-        cols.extend(c + offset for c in blk.cols)
-        scalars.extend(blk.scalars)
-        offset += blk.size
-    return GenPerm(p, cols, scalars)
+        rows += [(c + len(rows), s, k) for c, s, k in blk._rows()]  # len before the +=
+    return GenPerm._trusted(p, rows)
 
 
 def diag_from_flat_spectrum(s: Spectrum) -> GenPerm:
@@ -294,7 +317,7 @@ def diag_from_flat_spectrum(s: Spectrum) -> GenPerm:
     if not ok.all():
         w = int(ok.argmin())
         raise NotFlat(f"entry {w} = {CycInt(s.p, s.array[w])} is not {scale_int}·(±ξ^k)")
-    return GenPerm.from_diag(s.p, (RootScalar(s.p, sg, k) for sg, k in zip(signs.tolist(), exponents.tolist())))
+    return GenPerm._trusted(s.p, zip(range(len(signs)), signs.tolist(), exponents.tolist()))
 
 
 def apply(m, vec):
@@ -317,9 +340,9 @@ def apply_stack(perms: Sequence[GenPerm], vec) -> np.ndarray:
             raise ValueError(f"size mismatch: {perm.size} vs {len(array)}")
     shape = (len(perms), len(array))
     cols = np.array([perm.cols for perm in perms], dtype=np.intp).reshape(shape)
-    scalars = np.array([[(t.sign, t.exponent) for t in perm.scalars] for perm in perms], dtype=np.int64)
-    scalars = scalars.reshape(*shape, 2)
-    rotations = scalars[..., :1] * root_table(p)[scalars[..., 1]]
+    signs = np.array([perm.signs for perm in perms], dtype=np.int64).reshape(*shape, 1)
+    exponents = np.array([perm.exponents for perm in perms], dtype=np.intp).reshape(shape)
+    rotations = signs * root_table(p)[exponents]
     gathered, d = array[cols], degree(p)
     if gathered.dtype != object:
         gathered = gathered.astype(kernel_dtype(d * d * _maxabs(gathered)), copy=False)
@@ -355,8 +378,7 @@ def _downcast(dense: DenseCycMatrix) -> "GenPerm | DenseCycMatrix":
     signs, exponents, ok = _unit_roots(dense.num[np.arange(dense.size), cols], dense.p, 1)
     if not ok.all():
         return dense
-    scalars = [RootScalar(dense.p, s, k) for s, k in zip(signs.tolist(), exponents.tolist())]
-    return GenPerm(dense.p, cols.tolist(), scalars)
+    return GenPerm._trusted(dense.p, zip(cols.tolist(), signs.tolist(), exponents.tolist()))
 
 
 def is_generalized_permutation(m) -> bool:
@@ -366,9 +388,7 @@ def is_generalized_permutation(m) -> bool:
 
 @lru_cache(maxsize=None)
 def conjugate_table(name: str) -> GenPerm:
-    """The tabulated image of an elementary permutation under conjugation."""
-    if name not in GAMMA_NAMES:
-        raise ValueError(f"unknown elementary permutation {name!r}; expected {GAMMA_NAMES}")
-    z, zc, p12 = pauli_z(3), pauli_z(3, conjugated=True), gamma("P12")
-    images = {"I": gamma("I"), "N": compose(zc, p12), "P12": p12, "P01": compose(z, p12), "X": z, "XT": zc}
-    return images[name]
+    """W = 3^(-1)·C·P·C* of atom (a, t, m): row r holds ξ^(-a·t·(r+m)) at column a·(r+m) (a⁻¹ = a)."""
+    atom(name)  # ValueError outside the table
+    a, t, m = _ATOMS[name]
+    return _ea13(a, a * m, -a * t, -a * t * m)

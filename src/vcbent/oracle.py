@@ -46,6 +46,9 @@ def all_bent(p: int = 3, n: int = 2) -> set[MvFunction]:
     """
     if n < 0:
         raise ValueError("variable count must be >= 0")
+    if n > SCAN_GUARD.bit_length() or p**n > SCAN_GUARD.bit_length():  # so p^(p^n) > SCAN_GUARD
+        size = p**n if n <= 64 else f"({p}^{n})"
+        raise ScanTooLarge(f"{p}^{size} candidate functions exceed {SCAN_GUARD}")
     size = p**n
     total = p**size
     if total > SCAN_GUARD:
@@ -71,7 +74,8 @@ def all_bent(p: int = 3, n: int = 2) -> set[MvFunction]:
         if not hits.size:
             continue
         a, b = np.divmod(start + hits, len(codes_b))
-        for w in range(1, size):
+        # Σ_w S(w)·conj(S(w)) = p^(2n) exactly for every sign vector: flat elsewhere, the last w is too
+        for w in range(1, size - 1):
             keep = pairs[pair_a[w][a] + pair_b[w][b]]
             a, b = a[keep], b[keep]
         rows.append(np.concatenate([codes_a[a], codes_b[b]], axis=1))

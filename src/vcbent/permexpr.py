@@ -1,6 +1,6 @@
 """Expression mini-language for spectral permutations (p = 3).
 
-Atoms: I, P01, P12, N, X, XT, Z, Zc (Zc is the conjugate of Z).
+Atoms: I, P01, P12, N, X, XT, Z, Zc, genperm's EA(1,3) table (Zc is Z*).
 Forms:  kron(a,b)   compose(a,b)   blockdiag(a,b,c)   diag(e0,...,e8)
         w^k*expr    -expr
 Diagonal entries are root literals: 1, w, w^2, optionally negated.
@@ -23,23 +23,21 @@ from functools import lru_cache
 
 from .cyclotomic import RootScalar
 from .genperm import (
+    ATOM_NAMES,
     DenseCycMatrix,
     GenPerm,
     as_dense,
+    atom,
     block_diag,
     compose,
     conjugate_by_c,
     conjugate_table,
-    gamma,
     kron,
-    pauli_z,
     scale,
     _downcast,
 )
 from .mvfunction import _length_to_n
 from .vctransform import SizeLimitExceeded, _guard, size_limit
-
-ATOM_NAMES = ("I", "P01", "P12", "N", "X", "XT", "Z", "Zc")
 
 
 class ExprParseError(ValueError):
@@ -218,15 +216,6 @@ def render(node: Expr) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-@lru_cache(maxsize=None)
-def _atom_perm(name: str) -> GenPerm:
-    if name == "Z":
-        return pauli_z(3)
-    if name == "Zc":
-        return pauli_z(3, conjugated=True)
-    return gamma(name)
-
-
 def _check_size(size: int) -> None:
     if size > size_limit():
         raise SizeLimitExceeded(f"permutation size {size} exceeds the size limit {size_limit()}")
@@ -234,7 +223,7 @@ def _check_size(size: int) -> None:
 
 def evaluate(node: Expr) -> GenPerm:
     if isinstance(node, Atom):
-        return _atom_perm(node.name)
+        return atom(node.name)
     if isinstance(node, Rot):
         return scale(evaluate(node.child), RootScalar(3, node.sign, node.k))
     if isinstance(node, Kron):
@@ -254,13 +243,6 @@ def evaluate(node: Expr) -> GenPerm:
 
 
 @lru_cache(maxsize=None)
-def _atom_conjugate(name: str) -> GenPerm:
-    if name in ("Z", "Zc"):
-        return conjugate_by_c(_atom_perm(name))
-    return conjugate_table(name)
-
-
-@lru_cache(maxsize=None)
 def _diag3_conjugate(entries: tuple) -> "GenPerm | DenseCycMatrix":
     """W of a 3×3 diagonal of ±ξ^k entries; at most 6^3 of them."""
     return conjugate_by_c(GenPerm.from_diag(3, entries))
@@ -269,7 +251,7 @@ def _diag3_conjugate(entries: tuple) -> "GenPerm | DenseCycMatrix":
 def conjugate_expr(node: Expr) -> "GenPerm | DenseCycMatrix":
     """Structural route to W; agrees exactly with conjugate_by_c(evaluate(node))."""
     if isinstance(node, Atom):
-        return _atom_conjugate(node.name)
+        return conjugate_table(node.name)
     if isinstance(node, Rot):
         child = conjugate_expr(node.child)
         s = RootScalar(3, node.sign, node.k)

@@ -509,3 +509,72 @@ def test_diag_from_flat_spectrum_equals_the_entrywise_decode(s):
         assert str(err.value) == want
     else:
         assert diag_from_flat_spectrum(s) == want
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_equality_and_hash_agree_with_the_dense_matrix(p):
+    # even p: -ξ^k and ξ^(k + p/2) are one matrix entry; odd p: every ±ξ^k is distinct
+    perms = [GenPerm(p, [1, 0], [RootScalar(p, sign, k), RootScalar(p)]) for sign in (1, -1) for k in range(p)]
+    dense = [perm.to_dense() for perm in perms]
+    for a, da in zip(perms, dense):
+        for b, db in zip(perms, dense):
+            assert (a == b) == (da == db)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert len(set(perms)) == len(set(dense)) == (p if p % 2 == 0 else 2 * p)
+
+
+def test_even_radix_stores_the_plus_one_form():
+    minus_one = GenPerm(4, [0, 1], [RootScalar(4, -1, 0), RootScalar(4)])
+    assert minus_one == GenPerm(4, [0, 1], [RootScalar(4, 1, 2), RootScalar(4)])
+    assert minus_one.signs == (1, 1) and minus_one.exponents == (2, 0)
+    assert repr(minus_one) == "GenPerm(4, [0->0:RootScalar(4, +1, 2), 1->1:RootScalar(4, +1, 0)])"
+    assert scale(identity(6, 2), RootScalar(6, -1, 1)) == GenPerm.from_diag(6, [RootScalar(6, 1, 4)] * 2)
+    for p in (3, 5):
+        minus_one = GenPerm(p, [0], [RootScalar(p, -1, 0)])
+        assert minus_one.signs == (-1,)
+        assert all(minus_one != GenPerm(p, [0], [RootScalar(p, 1, k)]) for k in range(p))
+
+
+def ea13(a, t, m, c):
+    """Row r holds ξ^(m·r + c) at column a·r + t, through the public constructor."""
+    return GenPerm(3, [(a * r + t) % 3 for r in range(3)], [RootScalar(3, 1, m * r + c) for r in range(3)])
+
+
+def test_conjugation_law_on_all_54_elements_of_ea13():
+    # W of r ↦ a·r + t with phase ξ^(m·r + c) moves column a·r + a·m, phase ξ^(c - a·t·r - a·t·m)
+    for a, t, m, c in itertools.product((1, 2), range(3), range(3), range(3)):
+        assert conjugate_by_c(ea13(a, t, m, c)) == ea13(a, a * m, -a * t, c - a * t * m)
+    assert conjugate_table("Z") == gamma("XT")
+    assert conjugate_table("Zc") == gamma("X")
+    with pytest.raises(ValueError, match="unknown elementary permutation 'Q'"):
+        conjugate_table("Q")
+
+
+def test_hot_paths_read_no_root_scalar(monkeypatch):
+    from vcbent import appendix, generator, genperm, permexpr
+
+    def refuse(self):
+        raise AssertionError("GenPerm.scalars read on a hot path")
+
+    node = permexpr.parse("compose(kron(w*Z,Zc),blockdiag(Z,-Zc,N))")
+
+    def run_hot_paths():
+        for cached in (genperm.atom, conjugate_table, generator._kron_catalog, generator._blockdiag_catalog,
+                       appendix._label_perms, appendix._class_members):
+            cached.cache_clear()
+        diag = diag_from_flat_spectrum(circular_spectrum(X1X2))
+        return (
+            generator.generate_all(),
+            generator.blockdiag_survey(X1X2),
+            appendix.verify_appendix(),
+            generator.maiorana_enumerate(),
+            diag,
+            conjugate_by_c(diag),
+            permexpr.evaluate(node),
+            permexpr.conjugate_expr(node),
+        )
+
+    want = run_hot_paths()
+    monkeypatch.setattr(GenPerm, "scalars", property(refuse))
+    assert run_hot_paths() == want

@@ -166,3 +166,17 @@ def test_scan_arrays_stay_under_one_megabyte(p, n):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("n,message", [(9, "3^19683"), (40, "3^12157665459056928801")])
+def test_guard_refuses_before_the_candidate_count_is_formed(n, message):
+    # 3^(3^9) has 9,392 digits, past the int-to-string limit; 3^(3^40) could not be formed at all
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScanTooLarge) as err:
+            all_bent(3, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{message} candidate functions exceed 1048576"
+    assert peak < 64 * 1024
