@@ -230,14 +230,16 @@ def _demo_case1(out) -> None:
     print(f"spectrum exponents of f: {_exps_string(s)}", file=out)
     p = diag_from_flat_spectrum(s)
     conj_spectrum = apply(p, s)
-    assert conj_spectrum == Spectrum(3, 2, (e.conj() for e in s.entries))
+    if conj_spectrum != Spectrum(3, 2, (e.conj() for e in s.entries)):
+        raise AssertionError("diag(S_f)/3 did not conjugate S_f")
     print(f"diag(S_f)/3 applied to S_f gives the conjugate spectrum: "
           f"exponents {_exps_string(conj_spectrum)}", file=out)
     g = bentlab.spectrum_is_bent(conj_spectrum)
     print(f"recovered g = {g.digit_string()}", file=out)
     p12_2 = gkron(gamma("P12"), gamma("P12"))
     alt = apply(p12_2, [e.conj() for e in sign_of(f).entries])
-    assert try_from_sign(alt) == g
+    if try_from_sign(alt) != g:
+        raise AssertionError("P12(2) applied to conj(F) gave another function")
     print("cross-check: P12(2) applied to conj(F) recovers the same sign vector", file=out)
 
 
@@ -253,7 +255,8 @@ def _demo_case2(out) -> None:
     bigf = sign_of(f)
     wf = apply(w, list(bigf.entries))
     g = try_from_sign(wf)
-    assert g == bentlab.spectrum_is_bent(s_g)
+    if g != bentlab.spectrum_is_bent(s_g):
+        raise AssertionError("W·F and N(2)·S_f give different functions")
     print("f F S_f S_g W·F g", file=out)
     for i in range(9):
         print(
@@ -281,12 +284,14 @@ def _demo_case3(out) -> None:
     g_dense = try_from_sign(apply(w_dense, bigf))
     expr_kron = permexpr.parse("kron(w^1*P12,compose(P01,compose(N,Z)))")
     p_kron = permexpr.evaluate(expr_kron)
-    assert apply(p_kron, s_f) == s_g
+    if apply(p_kron, s_f) != s_g:
+        raise AssertionError("the Kronecker and diagonal permutations differ on S_f")
     w_kron = permexpr.conjugate_expr(expr_kron)
     print("Kronecker route W''(2):", file=out)
     _render_matrix(w_kron, out)
     g_kron = try_from_sign(apply(w_kron, bigf))
-    assert g_dense == g_kron == g
+    if not g_dense == g_kron == g:
+        raise AssertionError("the dense and Kronecker routes give different functions")
     print(f"both routes give G, hence g = {g.digit_string()}", file=out)
 
 
@@ -428,10 +433,7 @@ def main(argv=None, out=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

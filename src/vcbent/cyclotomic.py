@@ -12,9 +12,11 @@ Coefficients are Python ints, so nothing here ever overflows or rounds.
 The canonical text form writes ξ as ``x``: ``"3"``, ``"3x"``, ``"-1-1x"``,
 ``"2x^3"`` (the last only for p=5, where the basis has degree 4).
 
+One table reduces everything: the rows ξ^0 … ξ^(p-1), root_table().  The
+product, rotation by ξ^k, conjugate and ±ξ^k decode of scalars all read it.
 Many values at once are an (..., d) array of the same coefficients, int64
-when they fit and Python ints (dtype=object) otherwise: root_table() holds
-the powers ξ^k, and CycVector is the vector shared by signs and spectra.
+when they fit and Python ints (dtype=object) otherwise; CycVector is the
+vector shared by signs and spectra.
 """
 
 from __future__ import annotations
@@ -65,16 +67,6 @@ def degree(p: int) -> int:
 def _check_radix(p: int) -> None:
     if p not in _DEGREE:
         raise ValueError(f"unsupported radix {p}; expected one of {SUPPORTED_RADICES}")
-
-
-def rotate_coeffs(p: int, coeffs: tuple, k: int) -> tuple:
-    """Coefficients of ξ^k · v, reduced; v given by `coeffs`."""
-    fold = _FOLD[p]
-    for _ in range(k % p):
-        top = coeffs[-1]
-        shifted = (0,) + coeffs[:-1]
-        coeffs = tuple(s + top * f for s, f in zip(shifted, fold))
-    return coeffs
 
 
 class CycInt:
@@ -160,47 +152,18 @@ class CycInt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.p
-        a, b = self.coeffs, other.coeffs
-        if p != 5:
-            a0, a1 = a
-            b0, b1 = b
-            c2 = a1 * b1
-            f0, f1 = _FOLD[p]
-            return CycInt(p, (a0 * b0 + f0 * c2, a0 * b1 + a1 * b0 + f1 * c2))
-        d = 4
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        fold = _FOLD[p]
-        for i in range(2 * d - 2, d - 1, -1):
-            c = conv[i]
-            if c:
-                conv[i] = 0
-                for j, f in enumerate(fold):
-                    conv[i - d + j] += c * f
-        return CycInt(p, tuple(conv[:d]))
+        terms = ((a * b, i + j) for i, a in enumerate(self.coeffs) for j, b in enumerate(other.coeffs))
+        return _fold(self.p, terms)
 
     __rmul__ = __mul__
 
     def mul_root(self, k: int) -> "CycInt":
-        """self · ξ^k (cheap coefficient rotation, no convolution)."""
-        if k % self.p == 0:
-            return self
-        return CycInt(self.p, rotate_coeffs(self.p, self.coeffs, k))
+        """self · ξ^k: coefficient c of ξ^i becomes c·ξ^(i+k), d terms."""
+        return _fold(self.p, ((c, i + k) for i, c in enumerate(self.coeffs)))
 
     def conj(self) -> "CycInt":
         """Complex conjugate: the automorphism ξ ↦ ξ^(p-1)."""
-        rows = _conj_basis(self.p)
-        d = _DEGREE[self.p]
-        out = [0] * d
-        for c, row in zip(self.coeffs, rows):
-            if c:
-                for i in range(d):
-                    out[i] += c * row[i]
-        return CycInt(self.p, tuple(out))
+        return _fold(self.p, ((c, -i) for i, c in enumerate(self.coeffs)))
 
     def abs_squared(self) -> "CycInt":
         """self · conj(self); equals the rational integer |self|² when it is one."""
@@ -208,10 +171,11 @@ class CycInt:
 
     def as_root_scalar(self) -> "RootScalar":
         """Decompose as ±ξ^k, preferring sign +1; NotAUnitRoot otherwise."""
-        found = _unit_lookup(self.p).get(self.coeffs)
-        if found is None:
+        sign = k = 0
+        if all(-1 <= c <= 1 for c in self.coeffs):
+            sign, k = _unit_codes(self.p)[sum(c * 3**j for j, c in enumerate(self.coeffs))].tolist()
+        if not sign:
             raise NotAUnitRoot(f"{self} is not of the form ±ξ^k (p={self.p})")
-        sign, k = found
         return RootScalar(self.p, sign, k)
 
     def div_exact_int(self, d: int) -> "CycInt":
@@ -263,7 +227,8 @@ class CycInt:
 
 
 class RootScalar:
-    """±ξ^k as a compact (sign, exponent) pair; the scalar of one matrix entry."""
+    """±ξ^k as a compact (sign, exponent) pair; the scalar of one matrix entry.  Even p
+    stores -ξ^k as ξ^(k + p/2), so == and hash agree with to_cyc()."""
 
     __slots__ = ("p", "sign", "exponent")
 
@@ -271,6 +236,8 @@ class RootScalar:
         _check_radix(p)
         if sign not in (1, -1):
             raise ValueError(f"sign must be ±1, got {sign}")
+        if sign < 0 and p % 2 == 0:
+            sign, exponent = 1, exponent + p // 2
         self.p = p
         self.sign = sign
         self.exponent = exponent % p
@@ -311,29 +278,23 @@ class RootScalar:
 
 @lru_cache(maxsize=None)
 def _root_coeffs(p: int) -> tuple:
-    one = (1,) + (0,) * (_DEGREE[p] - 1)
-    rows = [one]
+    """Rows ξ^0 … ξ^(p-1) in the power basis: ξ times the last row, its ξ^d term folded
+    by _FOLD.  The one place that knows how Z[ξ_p] reduces."""
+    rows = [(1,) + (0,) * (_DEGREE[p] - 1)]
     for _ in range(p - 1):
-        rows.append(rotate_coeffs(p, rows[-1], 1))
+        *low, top = rows[-1]
+        rows.append(tuple(c + top * f for c, f in zip((0, *low), _FOLD[p])))
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _conj_basis(p: int) -> tuple:
-    """conj(ξ^i) for the basis powers i = 0..d-1, as coefficient rows."""
-    roots = _root_coeffs(p)
-    return tuple(roots[(-i) % p] for i in range(_DEGREE[p]))
-
-
-@lru_cache(maxsize=None)
-def _unit_lookup(p: int) -> dict:
-    table = {}
-    roots = _root_coeffs(p)
-    for k in range(p):
-        table.setdefault(roots[k], (1, k))
-    for k in range(p):
-        table.setdefault(tuple(-c for c in roots[k]), (-1, k))
-    return table
+def _fold(p: int, terms) -> CycInt:
+    """Σ c·ξ^e over the (c, e) pairs of terms, each ξ^e read from the root rows."""
+    roots, out = _root_coeffs(p), [0] * _DEGREE[p]
+    for c, e in terms:
+        if c:
+            for i, r in enumerate(roots[e % p]):
+                out[i] += c * r
+    return CycInt._trusted(p, tuple(out))
 
 
 # -- array form ----------------------------------------------------------------
@@ -358,9 +319,10 @@ def _unit_roots(array: np.ndarray, p: int, scale: int) -> tuple[np.ndarray, np.n
 def _unit_codes(p: int) -> np.ndarray:
     """Row Σ_j b_j·3^j (balanced ternary; a negative code wraps to the top rows) holds the
     (sign, k) of the ±ξ^k with coefficients b_j, or (0, 0); every ±ξ^k has all b_j in {-1, 0, 1}."""
+    codes = root_table(p) @ _TERNARY[: _DEGREE[p]]
     table = np.zeros((3 ** _DEGREE[p], 2), dtype=np.int64)
-    for coeffs, found in _unit_lookup(p).items():
-        table[sum(c * 3**j for j, c in enumerate(coeffs))] = found
+    for sign in (-1, 1):  # +ξ^k last, so it wins where -ξ^j = +ξ^k (even p)
+        table[sign * codes] = np.column_stack((np.full(p, sign), np.arange(p)))
     return _frozen(table)
 
 
@@ -407,6 +369,10 @@ class CycVector:
     def __init__(self, p: int, n: int, entries: Iterable[CycInt]):
         entries = tuple(entries)
         _check_length(p, n, len(entries), "entries for p={p}, n={n}")
+        for e in entries:
+            if not isinstance(e, CycInt) or e.p != p:
+                error = RadixMismatch if isinstance(e, CycInt) else ValueError
+                raise error(f"entry {e!r} is not in Z[ξ_{p}]")
         self.p = p
         self.n = n
         self._entries = entries

@@ -220,9 +220,12 @@ def _maiorana_checked(specs: list[MaioranaSpec]) -> list[MvFunction]:
     """maiorana() of each spec (one m for all), checked bent by one transform and one flatness mask."""
     rows = []
     for m, q, v in ((spec.m, spec.q, spec.v) for spec in specs):
-        side = 3**m
-        if q.size != side or q.p != 3:
-            raise ValueError(f"permutation must be {side}×{side} over radix 3")
+        side = q.size
+        if m < 0:
+            raise ValueError("variable count must be >= 0")
+        if m > side.bit_length() or 3**m != side or q.p != 3:  # 3^m ≥ 2^m > side in the first case
+            want = 3**m if m <= 64 else f"3^{m}"
+            raise ValueError(f"permutation must be {want}×{want} over radix 3")
         if not q.is_straight():
             raise ValueError("Maiorana permutation must be straight (all scalars 1)")
         if v.p != 3 or v.n != m:
@@ -245,9 +248,12 @@ def _maiorana_checked(specs: list[MaioranaSpec]) -> list[MvFunction]:
 
 def maiorana_enumerate(m: int = 1) -> set[MvFunction]:
     """Distinct Maiorana functions over all straight Q and all shifts v."""
+    if m < 0:
+        raise ValueError("variable count must be >= 0")
     if m != 1:
+        count = 3**m if m <= 64 else f"3^{m}"
         raise SizeLimitExceeded(
-            f"enumeration at m={m} needs ({3**m})! straight permutations; only m=1 is tabulated"
+            f"enumeration at m={m} needs ({count})! straight permutations; only m=1 is tabulated"
         )
     shifts = functions_of(3, m, np.array(list(product(range(3), repeat=3**m))))
     return set(_maiorana_checked([MaioranaSpec(m, gamma(name), v) for name in GAMMA_NAMES for v in shifts]))

@@ -57,11 +57,9 @@ GAMMA_NAMES = ATOM_NAMES[:6]
 
 
 def _unit(p: int, s: RootScalar) -> tuple[int, int]:
-    """(sign, exponent) of s over radix p as GenPerm stores it: for even p, -ξ^k is ξ^(k + p/2)."""
+    """(sign, exponent) of s, which must be over radix p."""
     if s.p != p:
         raise RadixMismatch(f"scalar {s!r} not over radix {p}")
-    if s.sign < 0 and p % 2 == 0:
-        return 1, (s.exponent + p // 2) % p
     return s.sign, s.exponent
 
 

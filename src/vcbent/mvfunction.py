@@ -174,15 +174,17 @@ class SignVector(CycVector):
     __slots__ = ("_exponents",)
 
     def __init__(self, p: int, n: int, entries: Iterable[CycInt]):
-        super().__init__(p, n, entries)
-        entries = self._entries
+        entries = tuple(entries)
+        _check_length(p, n, len(entries), "entries for p={p}, n={n}")
         foreign = next((i for i, e in enumerate(entries) if not isinstance(e, CycInt) or e.p != p), None)
         # the entries before a foreign one are decoded first, so the lower index is reported
         if foreign != 0:
-            self._array = _rows_array([e.coeffs for e in entries[:foreign]])
-            self._exponents = tuple(_sign_exponents(p, self._array).tolist())
+            array = _rows_array([e.coeffs for e in entries[:foreign]])
+            exponents = tuple(_sign_exponents(p, array).tolist())
         if foreign is not None:
             raise RadixMismatch(f"entry {foreign} is not in Z[ξ_{p}]")
+        super().__init__(p, n, entries)
+        self._array, self._exponents = array, exponents
 
     @classmethod
     def from_array(cls, p: int, n: int, array: np.ndarray) -> "SignVector":

@@ -10,21 +10,21 @@ Every spectrum in the package goes through transform(), which works on
 (..., p^n, d) integer arrays of power-basis coefficients: Good's
 factorization of C(n) into n stages, each one (p·d)×(p·d) integer matmul,
 for O(n·p^n) multiply-adds.  mul_array() is the ring product on the same
-arrays, and forward() the dense O(p^2n) reference, one mul_array per output.
-Both run on int64 whenever coefficient growth provably fits, and the same
-code runs on Python ints (dtype=object) otherwise.
+arrays, and forward() the dense O(p^2n) reference.  The stage matrix and the
+product tables are cyclotomic.root_table() gathered at an exponent grid.  All
+run on int64 while coefficient growth provably fits, on Python ints otherwise.
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cyclotomic import (
-    CycInt, CycVector, NotDivisible, RadixMismatch, _check_length, _frozen, _root_coeffs, degree, root_table,
+    CycInt, CycVector, NotDivisible, _check_length, _frozen, degree, root_table,
 )
 from .mvfunction import _length_to_n, digits_of
 
@@ -55,20 +55,14 @@ class Spectrum(CycVector):
 
     __slots__ = ()
 
-    def __init__(self, p: int, n: int, entries: Iterable[CycInt]):
-        super().__init__(p, n, entries)
-        for e in self._entries:
-            if not isinstance(e, CycInt) or e.p != p:
-                error = RadixMismatch if isinstance(e, CycInt) else ValueError
-                raise error(f"entry {e!r} is not in Z[ξ_{p}]")
-
     @classmethod
     def from_strict_exponents(cls, p: int, n: int, exponents: Sequence[int]) -> "Spectrum":
         """S(w) = p^(n/2)·ξ^t(w); n must be even."""
         if n % 2:
             raise ValueError("strict exponent form needs an even variable count")
-        scale = p ** (n // 2)
-        return cls(p, n, (CycInt.root(p, e) * scale for e in exponents))
+        _check_length(p, n, len(exponents), "entries for p={p}, n={n}")
+        t = np.array(exponents, dtype=np.intp) % p
+        return cls.from_array(p, n, root_table(p)[t] * p ** (n // 2))
 
 
 def _as_array(vec, guard: bool = False) -> tuple[int, int, np.ndarray]:
@@ -153,14 +147,8 @@ def _maxabs(array: np.ndarray) -> int:
 @lru_cache(maxsize=None)
 def _stage_matrix(p: int, conjugate: bool) -> np.ndarray:
     """Row j·d + b, column block i: the coefficients of ξ^(b ∓ i·j)."""
-    roots = _root_coeffs(p)
-    sign = -1 if conjugate else 1
-    rows = [
-        [c for i in range(p) for c in roots[(b + sign * i * j) % p]]
-        for j in range(p)
-        for b in range(degree(p))
-    ]
-    return _frozen(np.array(rows, dtype=np.int64))
+    j, b, i = np.ogrid[:p, : degree(p), :p]
+    return _frozen(root_table(p)[(b - i * j if conjugate else b + i * j) % p].reshape(p * degree(p), -1))
 
 
 def transform(array: np.ndarray, p: int, n: int, conjugate: bool) -> np.ndarray:
@@ -187,9 +175,8 @@ def transform(array: np.ndarray, p: int, n: int, conjugate: bool) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _product_table(p: int) -> np.ndarray:
     """Row b·d + k: the coefficients of ξ^(b+k), each -1, 0 or 1."""
-    roots, d = _root_coeffs(p), degree(p)
-    rows = [roots[(b + k) % p] for b in range(d) for k in range(d)]
-    return _frozen(np.array(rows, dtype=np.int64))
+    b, k = np.ogrid[: degree(p), : degree(p)]
+    return _frozen(root_table(p)[(b + k) % p].reshape(-1, degree(p)))
 
 
 def mul_array(
@@ -214,8 +201,8 @@ def mul_array(
 @lru_cache(maxsize=None)
 def _abs_table(p: int) -> np.ndarray:
     """Row b·d + k: the coefficients of ξ^(b-k) = ξ^b·conj(ξ^k), each -1, 0 or 1."""
-    roots, d = _root_coeffs(p), degree(p)
-    return _frozen(np.array([roots[(b - k) % p] for b in range(d) for k in range(d)], dtype=np.int64))
+    b, k = np.ogrid[: degree(p), : degree(p)]
+    return _frozen(root_table(p)[(b - k) % p].reshape(-1, degree(p)))
 
 
 def abs_squared(array: np.ndarray, p: int) -> np.ndarray:

@@ -360,3 +360,17 @@ def test_module_entry_point_matches_main(fresh_python, capsys, values, expected_
     assert proc.returncode == code == expected_code
     assert proc.stdout == text.encode()
     assert proc.stderr.decode() == capsys.readouterr().err
+
+
+def test_demo_cross_checks_hold_under_optimize(fresh_python):
+    # -O strips assert statements; a wrong recovered function must still stop the demo
+    probe = (
+        "import io\n"
+        "from vcbent import cli\n"
+        "from vcbent.mvfunction import MvFunction\n"
+        "cli.try_from_sign = lambda v: MvFunction(3, 2, (0,) * 9)\n"
+        "cli.main(['demo', '--case', '1'], out=io.StringIO())\n"
+    )
+    proc = fresh_python("-O", "-c", probe)
+    assert proc.returncode != 0
+    assert b"AssertionError: P12(2) applied to conj(F) gave another function" in proc.stderr

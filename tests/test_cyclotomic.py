@@ -7,6 +7,7 @@ import pytest
 from vcbent.cyclotomic import (
     _unit_roots,
     CycInt,
+    CycVector,
     NotAUnitRoot,
     NotDivisible,
     RadixMismatch,
@@ -234,3 +235,29 @@ def test_unit_roots_refuse_non_divisible_entries():
     _, exponents, ok = _unit_roots(cells, 3, 3)
     assert ok.tolist() == [False, True, False]
     assert exponents[1] == 1
+
+
+def test_cyc_vector_refuses_entries_outside_its_ring():
+    with pytest.raises(RadixMismatch, match=r"is not in Z\[ξ_3\]"):
+        CycVector(3, 1, [CycInt.one(4)] * 3)
+    with pytest.raises(ValueError, match=r"^entry 'a' is not in Z\[ξ_3\]$") as err:
+        CycVector(3, 1, ["a"] * 3)
+    assert type(err.value) is ValueError
+    assert CycVector(3, 1, [xi(3, k) for k in range(3)]).array.tolist() == [[1, 0], [0, 1], [-1, -1]]
+
+
+def test_root_scalar_keeps_one_form_per_unit():
+    from vcbent.genperm import GenPerm
+
+    for p in (4, 6):
+        for k in range(p):
+            minus, plus = RootScalar(p, -1, k), RootScalar(p, 1, k + p // 2)
+            assert minus == plus and hash(minus) == hash(plus) and minus.to_cyc() == -xi(p, k)
+            assert (minus.sign, minus.exponent) == (1, (k + p // 2) % p)
+            assert GenPerm(p, [0], [minus]).scalars == (minus,)
+    for p in (3, 5):
+        for k in range(p):
+            minus = RootScalar(p, -1, k)
+            assert (minus.sign, minus.exponent) == (-1, k) and minus.to_cyc() == -xi(p, k)
+            assert all(minus != RootScalar(p, 1, j) for j in range(p))
+            assert GenPerm(p, [0], [minus]).scalars == (minus,)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import fields
 from itertools import product
 
@@ -160,6 +161,29 @@ def test_maiorana_validation():
 
     with pytest.raises(ValueError):
         maiorana(MaioranaSpec(1, scale(gamma("I"), RootScalar(3, 1, 1)), MvFunction(3, 1, (0, 0, 0))))
+
+
+def test_maiorana_guards_refuse_before_forming_3_to_the_m():
+    v = MvFunction(3, 1, (0, 0, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^permutation must be 3\^1000000×3\^1000000 over radix 3$"):
+            maiorana(MaioranaSpec(10**6, gamma("I"), v))
+        with pytest.raises(ValueError, match=r"^variable count must be >= 0$"):
+            maiorana(MaioranaSpec(-1, gamma("I"), v))
+        for m in (9000, 10**4):
+            with pytest.raises(SizeLimitExceeded, match=rf"needs \(3\^{m}\)! straight permutations"):
+                maiorana_enumerate(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    with pytest.raises(ValueError, match=r"^variable count must be >= 0$"):
+        maiorana_enumerate(-1)
+    with pytest.raises(ValueError, match=r"^permutation must be 9×9 over radix 3$"):
+        maiorana(MaioranaSpec(2, gamma("I"), v))
+    with pytest.raises(SizeLimitExceeded, match=rf"needs \({3**64}\)! straight"):
+        maiorana_enumerate(64)
 
 
 def test_maiorana_enumerate_properties(oracle_set):

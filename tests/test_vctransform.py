@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcbent.cyclotomic import SUPPORTED_RADICES, CycInt, CycVector, NotDivisible, degree, xi
+from vcbent.cyclotomic import SUPPORTED_RADICES, CycInt, CycVector, NotDivisible, _unit_codes, degree, root_table, xi
 from vcbent.mvfunction import MvFunction, add_constant, sign_of, try_from_sign
 from vcbent.vctransform import (
     INT64_BOUND,
     SizeLimitExceeded,
+    _abs_table,
+    _product_table,
+    _stage_matrix,
     Spectrum,
     divide_exact,
     format_spectrum_lines,
@@ -414,3 +417,43 @@ def test_inverse_builds_no_object_per_point():
     gc.collect()
     assert sys.getallocatedblocks() - before < 50
     del back
+
+
+@pytest.mark.parametrize("p", SUPPORTED_RADICES)
+def test_ring_tables_hold_the_complex_roots_they_name(p):
+    # every table is pinned to e^(2πik/p) or to its own exponent formula, written out here
+    d, roots = degree(p), root_table(p)
+    xi_c = np.exp(2j * np.pi / p)
+    for k in range(p):
+        assert abs(sum(int(c) * xi_c**i for i, c in enumerate(roots[k])) - xi_c**k) < 1e-9
+    for b in range(d):
+        for k in range(d):
+            assert _product_table(p)[b * d + k].tolist() == roots[(b + k) % p].tolist()
+            assert _abs_table(p)[b * d + k].tolist() == roots[(b - k) % p].tolist()
+    for conjugate, sign in ((True, -1), (False, 1)):
+        stage = _stage_matrix(p, conjugate)
+        assert stage.shape == (p * d, p * d)
+        for j in range(p):
+            for b in range(d):
+                blocks = stage[j * d + b].reshape(p, d)
+                for i in range(p):
+                    assert blocks[i].tolist() == roots[(b + sign * i * j) % p].tolist()
+    codes = _unit_codes(p)
+    want = {}
+    for sign in (-1, 1):  # +ξ^k written last, so it wins where -ξ^j = +ξ^k
+        for k in range(p):
+            want[sum(sign * int(c) * 3**i for i, c in enumerate(roots[k])) % 3**d] = [sign, k]
+    assert all(codes[code].tolist() == want.get(code, [0, 0]) for code in range(3**d))
+    if p % 2 == 0:
+        assert all(codes[code][0] == 1 for code in want)
+    tables = [roots, codes, _product_table(p), _abs_table(p), _stage_matrix(p, True), _stage_matrix(p, False)]
+    assert all(t.dtype == np.int64 and not t.flags.writeable for t in tables)
+
+
+def test_strict_exponent_spectrum_is_scaled_roots():
+    for p in SUPPORTED_RADICES:
+        exponents = [(3 * x + 1) % p for x in range(p**2)]
+        s = Spectrum.from_strict_exponents(p, 2, exponents)
+        assert list(s) == [xi(p, e) * p for e in exponents] and s.array.dtype == np.int64
+    with pytest.raises(ValueError, match=r"^expected 9 entries for p=3, n=2$"):
+        Spectrum.from_strict_exponents(3, 2, [0] * 4)
