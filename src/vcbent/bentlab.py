@@ -118,8 +118,9 @@ def spectra_verdicts(stack: np.ndarray, p: int, n: int) -> list[MvFunction | Not
         return verdicts
     _guard(p, n)
     images = transform(stack, p, n, conjugate=False)
-    keep = _drop_failures(verdicts, rows, (images % p**n != 0).any(axis=-1), images, "not-divisible", p)
-    rows, signs = rows[keep], images[keep] // p**n
+    quotient = images // p**n
+    keep = _drop_failures(verdicts, rows, (quotient * p**n != images).any(axis=-1), images, "not-divisible", p)
+    rows, signs = rows[keep], quotient[keep]
     sign, exponents, ok = _unit_roots(signs, p, 1)
     keep = _drop_failures(verdicts, rows, ~ok | (sign != 1), signs, "not-a-sign", p)
     for r, g in zip(rows[keep].tolist(), functions_of(p, n, exponents[keep])):

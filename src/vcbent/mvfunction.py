@@ -201,7 +201,7 @@ class SignVector(CycVector):
         return tuple(roots[k] for k in self._exponents)
 
     def _make_array(self) -> np.ndarray:
-        return _frozen(root_table(self.p)[np.array(self._exponents, dtype=np.intp)])
+        return _frozen(root_table(self.p).take(np.frombuffer(bytes(self._exponents), np.uint8), axis=0))  # k < p
 
 
 def _sign_exponents(p: int, array: np.ndarray) -> np.ndarray:

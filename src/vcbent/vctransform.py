@@ -6,13 +6,13 @@ C*(n); the inverse is F = p^(-n)·C(n)·S with an explicit divisibility
 check, so a candidate spectrum that is not p^n times anything is rejected
 instead of rounded.  forward_fast() returns a Spectrum, inverse() a CycVector.
 
-Every spectrum in the package goes through transform(), which works on
-(..., p^n, d) integer arrays of power-basis coefficients: Good's
-factorization of C(n) into n stages, each one (p·d)×(p·d) integer matmul,
-for O(n·p^n) multiply-adds.  mul_array() is the ring product on the same
-arrays, and forward() the dense O(p^2n) reference.  The stage matrix and the
-product tables are cyclotomic.root_table() gathered at an exponent grid.  All
-run on int64 while coefficient growth provably fits, on Python ints otherwise.
+Every spectrum goes through transform(), on (..., p^n, d) integer arrays of
+power-basis coefficients: Good's factorization of C(n) into n batched
+(p·d)×(p·d) integer matmuls, none copying its input, for O(n·p^n)
+multiply-adds.  mul_array() is the ring product on the same arrays, forward()
+the dense O(p^2n) reference.  The stage matrix and product tables are
+cyclotomic.root_table() gathered at an exponent grid.  All run on int64 while
+coefficient growth provably fits, on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -106,11 +106,8 @@ def inverse(vec) -> CycVector:
 
 def divide_exact(array: np.ndarray, scale: int, p: int) -> np.ndarray:
     """array / scale for a (..., d) array; NotDivisible names the first inexact entry."""
-    if array.dtype == object:  # np.divmod has no loop for Python ints
-        quotient, remainder = array // scale, array % scale
-    else:
-        quotient, remainder = np.divmod(array, scale)
-    bad = np.flatnonzero((remainder != 0).any(axis=-1))
+    quotient = array // scale  # floor division: quotient·scale equals array only where it divides
+    bad = np.flatnonzero((quotient * scale != array).any(axis=-1))
     if bad.size:
         i = int(bad[0])
         value = CycInt(p, array.reshape(-1, array.shape[-1])[i])
@@ -144,31 +141,33 @@ def _maxabs(array: np.ndarray) -> int:
     return max(int(array.max()), -int(array.min())) if array.size else 0
 
 
-@lru_cache(maxsize=None)
 def _stage_matrix(p: int, conjugate: bool) -> np.ndarray:
     """Row j·d + b, column block i: the coefficients of ξ^(b ∓ i·j)."""
     j, b, i = np.ogrid[:p, : degree(p), :p]
     return _frozen(root_table(p)[(b - i * j if conjugate else b + i * j) % p].reshape(p * degree(p), -1))
 
 
+@lru_cache(maxsize=None)
+def _left_stage(p: int, conjugate: bool) -> np.ndarray:
+    """_stage_matrix acting from the left: row w·d + c, column b·p + i is coefficient c of ξ^(b ∓ i·w)."""
+    d = degree(p)
+    return _frozen(_stage_matrix(p, conjugate).reshape(p, d, p, d).transpose(2, 3, 1, 0).reshape(p * d, -1))
+
+
 def transform(array: np.ndarray, p: int, n: int, conjugate: bool) -> np.ndarray:
     """Σ_x ξ^(∓⟨w·x⟩)·array[..., x, :] for a (..., p^n, d) coefficient array.
 
-    Each of the n stages contracts the leading base-p digit with one
-    (p·d)×(p·d) matmul and moves it to the back, so after n stages the
-    digits are in order again.  Per stage an output coefficient sums p
-    rotations, each mixing at most two input coefficients, so values grow by
-    at most 2p: int64 runs while maxabs·(2p)^n < 2^62, dtype=object after.
-    An object array stays on Python ints.
+    The coefficient axis moves in front of the digits once; then stage k is one
+    batched matmul by _left_stage that turns the coefficients and digit x_k into
+    w_k and its coefficients in place, so no stage copies its input.  Values grow
+    by at most 2p a stage (p rotations of at most two coefficients each): int64
+    runs while maxabs·(2p)^n < 2^62, dtype=object after; object input stays object.
     """
-    size, d = p**n, degree(p)
     if array.dtype != object:
         array = array.astype(kernel_dtype(_maxabs(array) * (2 * p) ** n), copy=False)
-    stage = _stage_matrix(p, conjugate)
-    out = array.reshape(-1, size, d)
-    batch = out.shape[0]
-    for _ in range(n):
-        out = out.reshape(batch, p, size // p, d).transpose(0, 2, 1, 3).reshape(-1, p * d) @ stage
+    out = array.reshape(-1, p**n, degree(p)).swapaxes(1, 2)
+    for k in reversed(range(n)):  # k digits still to transform after this stage
+        out = _left_stage(p, conjugate) @ out.reshape(-1, degree(p) * p, p**k)
     return out.reshape(array.shape)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcbent.bentlab import spectra_verdicts
 from vcbent.cyclotomic import SUPPORTED_RADICES, CycInt, CycVector, NotDivisible, _unit_codes, degree, root_table, xi
 from vcbent.mvfunction import MvFunction, add_constant, sign_of, try_from_sign
 from vcbent.vctransform import (
@@ -457,3 +458,78 @@ def test_strict_exponent_spectrum_is_scaled_roots():
         assert list(s) == [xi(p, e) * p for e in exponents] and s.array.dtype == np.int64
     with pytest.raises(ValueError, match=r"^expected 9 entries for p=3, n=2$"):
         Spectrum.from_strict_exponents(3, 2, [0] * 4)
+
+
+def dense_transform(p, n, row, conjugate):
+    """Σ_x ξ^(∓⟨w·x⟩)·row[x] by dense forward; the + sign is conj(forward(conj(row)))."""
+    entries = [CycInt(p, r) for r in row]
+    if conjugate:
+        return list(forward(entries).entries)
+    return [e.conj() for e in forward([e.conj() for e in entries]).entries]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_transform_of_a_stack_equals_each_row_alone_and_dense_forward(data):
+    # leading axes, strides, read-only flags and dtype all change the layout the stages see
+    p, n = data.draw(st.sampled_from([(p, 0) for p in SUPPORTED_RADICES] + SMALL_SIZES))
+    lead = data.draw(st.sampled_from([(), (3,), (2, 3)]))
+    dtype = data.draw(st.sampled_from([np.int64, object]))
+    layout = data.draw(st.sampled_from(["contiguous", "swapaxes", "every-other", "read-only"]))
+    conjugate = data.draw(st.booleans())
+    d, size = degree(p), p**n
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if layout == "swapaxes":
+        stack = rng.integers(-50, 51, size=(*lead, d, size)).astype(dtype).swapaxes(-1, -2)
+    elif layout == "every-other":
+        stack = rng.integers(-50, 51, size=(*lead, 2 * size, d)).astype(dtype)[..., ::2, :]
+    else:
+        stack = rng.integers(-50, 51, size=(*lead, size, d)).astype(dtype)
+    if dtype is object:
+        stack[(0,) * len(lead)][0, 0] = 2**70  # a Python int no int64 holds
+    stack.flags.writeable = layout != "read-only"
+    before, writeable = stack.copy(), stack.flags.writeable
+    out = transform(stack, p, n, conjugate)
+    assert out.shape == stack.shape and out.dtype == dtype
+    assert np.array_equal(stack, before) and stack.flags.writeable == writeable
+    for index in np.ndindex(*lead):
+        row = stack[index]
+        assert np.array_equal(out[index], transform(np.ascontiguousarray(row), p, n, conjugate))
+        assert [CycInt(p, r) for r in out[index].tolist()] == dense_transform(p, n, row.tolist(), conjugate)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_exact_division_floors_negative_values_on_every_path(dtype):
+    # floor division: every negative multiple of p^n divides, while -1 and 1 - p^n are refused
+    # by divide_exact, inverse and spectra_verdicts with the same first index and value
+    for p in SUPPORTED_RADICES:
+        d, scale = degree(p), p**2
+        negative = -1 - np.arange(scale * d).reshape(scale, d)
+        assert divide_exact((negative * scale).astype(dtype), scale, p).tolist() == negative.tolist()
+        for refused in (-1, 1 - scale):
+            image = (negative * scale).astype(dtype)
+            image[5, d - 1] = refused
+            image[7, 0] = refused
+            with pytest.raises(NotDivisible) as err:
+                divide_exact(image, scale, p)
+            assert (err.value.index, err.value.value) == (5, CycInt(p, image[5]))
+        s = forward_fast(CycVector.from_array(p, 2, negative)).array.astype(dtype)
+        assert inverse(Spectrum.from_array(p, 2, s)).array.tolist() == negative.tolist()
+        for shift in (scale - 1, 1):  # C·(c·e_0) adds c to every image entry: -1 and 1 - p^n at index 0
+            spoiled = s.copy()
+            spoiled[0, 0] += shift
+            value = CycInt(p, [shift - scale] + (scale * negative[0, 1:]).tolist())
+            assert value.coeffs[0] in (-1, 1 - scale)
+            with pytest.raises(NotDivisible) as err:
+                inverse(Spectrum.from_array(p, 2, spoiled))
+            assert (err.value.index, err.value.value) == (0, value)
+    # flat, and its inverse image starts with 1 - 3 and -1 at w = 0; a bent spectrum divides into
+    # negative coefficients (ξ^2 = -1 - ξ), and so does its negation, which then is no sign
+    flat = np.array([[-2, -1], [-2, -1], [2, 1]], dtype=dtype)
+    bent = forward_fast(sign_of(MvFunction.from_digits(3, 1, "022"))).array.astype(dtype)
+    verdicts = spectra_verdicts(np.stack([flat, bent, -bent]), 3, 1)
+    assert (verdicts[0].stage, verdicts[0].witness) == ("not-divisible", (0, CycInt(3, (-2, -1))))
+    with pytest.raises(NotDivisible) as err:
+        inverse(Spectrum.from_array(3, 1, flat))
+    assert (err.value.index, err.value.value) == verdicts[0].witness
+    assert verdicts[1] == MvFunction.from_digits(3, 1, "022") and verdicts[2].stage == "not-a-sign"
