@@ -17,14 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import product
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from .bentlab import _strict_decode, circular_spectrum
+from .cyclotomic import root_table
 from .generator import generate_class, reference_seed
-from .genperm import GenPerm, apply_stack, conjugate_by_c, gamma, kron
+from .genperm import GAMMA_NAMES, PermStack, apply_stack, conjugate_by_c, gamma, kron
 from .mvfunction import MvFunction, sign_of
 from .vctransform import transform
 
@@ -92,31 +94,42 @@ def parse_fixture_lines(lines: Iterable[str]) -> list[AppendixRow]:
 
 
 def load_appendix_rows(path: str | Path | None = None) -> list[AppendixRow]:
-    text = Path(path).read_text() if path is not None else fixture_text()
-    return parse_fixture_lines(text.splitlines())
+    """The rows of the fixture at path, or a fresh list of the packaged rows, parsed once per process."""
+    if path is None:
+        return list(_packaged_rows())
+    return parse_fixture_lines(Path(path).read_text().splitlines())
+
+
+@lru_cache(maxsize=None)
+def _packaged_rows() -> tuple[AppendixRow, ...]:
+    return tuple(parse_fixture_lines(fixture_text().splitlines()))
 
 
 def verify_appendix(rows: list[AppendixRow] | None = None) -> list[RowCheck]:
     """Recompute every fixture row through both the spectral and W·F routes.
 
-    Per class: one transform of the rows' signs, one apply_stack of their
-    α⊗β on the seed spectrum and one of their W on the seed's sign, and one
-    strict decode of both spectrum stacks.  Checks come back in row order;
-    the first unknown label, else the first class id outside 1..9, raises ValueError."""
+    Per class: one transform of the rows' signs, one apply_stack of the 36
+    cached α⊗β on the seed spectrum and one of their W on the seed's sign,
+    read at the rows' labels, and one strict decode of both spectrum stacks.
+    Checks come back in row order; the first unknown label, else the first
+    class id outside 1..9, raises ValueError."""
     if rows is None:
         rows = load_appendix_rows()
-    labels = [_label_perms(row.alpha, row.beta) for row in rows]
+    position, perms, ws = _label_perms()
+    try:
+        labels = np.array([position[row.alpha, row.beta] for row in rows], dtype=np.intp)
+    except KeyError as unknown:  # the first row with a label outside Γ; gamma's ValueError names it
+        gamma(unknown.args[0][0]), gamma(unknown.args[0][1])
+    signs = root_table(3)[np.array([row.g.values for row in rows], dtype=np.intp)]
+    exponents = np.array([row.exponents for row in rows], dtype=np.intp)
     checks: list = [None] * len(rows)
     for class_id in dict.fromkeys(row.class_id for row in rows):
         indices = [i for i, row in enumerate(rows) if row.class_id == class_id]
-        seed = reference_seed(class_id)
-        members = _class_members(class_id)
-        signs = np.stack([sign_of(rows[i].g).array for i in indices])
-        permuted = apply_stack([labels[i][0] for i in indices], circular_spectrum(seed))
-        t, strict = _strict_decode(np.stack([transform(signs, 3, 2, conjugate=True), permuted]), 3, 2)
-        exponents = np.array([rows[i].exponents for i in indices])
-        spectrum_ok, permutation_ok = ((strict == 1) & (t == exponents)).all(axis=-1).tolist()
-        sign_ok = (apply_stack([labels[i][1] for i in indices], sign_of(seed)) == signs).all(axis=(1, 2))
+        seed, members = reference_seed(class_id), _class_members(class_id)
+        permuted = apply_stack(perms, circular_spectrum(seed))[labels[indices]]
+        t, strict = _strict_decode(np.stack([transform(signs[indices], 3, 2, conjugate=True), permuted]), 3, 2)
+        spectrum_ok, permutation_ok = ((strict == 1) & (t == exponents[indices])).all(axis=-1).tolist()
+        sign_ok = (apply_stack(ws, sign_of(seed))[labels[indices]] == signs[indices]).all(axis=(1, 2))
         for i, spectrum, permutation, sign in zip(indices, spectrum_ok, permutation_ok, sign_ok.tolist()):
             checks[i] = RowCheck(rows[i], spectrum, rows[i].g in members, permutation, sign)
     return checks
@@ -129,7 +142,9 @@ def _class_members(class_id: int) -> frozenset[MvFunction]:
 
 
 @lru_cache(maxsize=None)
-def _label_perms(alpha: str, beta: str) -> tuple[GenPerm, GenPerm]:
-    """α⊗β and W = 3^(-2)·C·(α⊗β)·C*, a GenPerm for labels in Γ."""
-    perm = kron(gamma(alpha), gamma(beta))
-    return perm, conjugate_by_c(perm)
+def _label_perms() -> tuple[dict[tuple[str, str], int], PermStack, PermStack]:
+    """Each label (α, β) in Γ×Γ with its row in two stacks: α⊗β and W = 3^(-2)·C·(α⊗β)·C*."""
+    labels = list(product(GAMMA_NAMES, repeat=2))
+    perms = [kron(gamma(alpha), gamma(beta)) for alpha, beta in labels]
+    return ({label: i for i, label in enumerate(labels)}, PermStack.of(perms),
+            PermStack.of([conjugate_by_c(perm) for perm in perms]))

@@ -5,8 +5,9 @@ sign ξ^f has |S(w)|² = p^n ("flat").  Flatness is necessary but NOT
 sufficient for a candidate spectrum vector: recovering a function also
 needs the inverse transform to divide exactly and the result to be a sign
 vector, and spectrum_is_bent() reports the first stage that fails.
-spectra_verdicts() decides a whole (B, p^n, d) stack of candidate spectra
-with one pass of each stage on the engine's batch axis; spectrum_is_bent()
+verdict_arrays() decides a whole (B, p^n, d) stack of candidate spectra
+with one pass of each stage on the engine's batch axis and returns the verdicts
+as arrays; spectra_verdicts() builds their row objects, and spectrum_is_bent()
 is its one-row case.
 
 Strict bentness additionally asks S(w) = p^(n/2)·ξ^t(w) for every w; the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycInt, _check_coefficients, _unit_roots, degree
+from .cyclotomic import CycInt, _any_coefficient, _check_coefficients, _unit_roots, degree
 from .mvfunction import MvFunction, add_constant, functions_of, sign_of
 from .vctransform import Spectrum, _guard, flat_mask, forward_fast, transform
 
@@ -94,15 +95,25 @@ def is_bent(f: MvFunction) -> BentVerdict:
 
 def spectrum_is_bent(s: Spectrum) -> MvFunction:
     """Recover g with spectrum s, or raise NotBentSpectrum at the first bad stage."""
-    verdict = spectra_verdicts(s.array[None], s.p, s.n)[0]
-    if isinstance(verdict, NotBentSpectrum):
-        raise verdict
-    return verdict
+    stage, index, value, exponents = verdict_arrays(s.array[None], s.p, s.n)
+    if stage[0]:
+        raise NotBentSpectrum(NotBentSpectrum.STAGES[stage[0] - 1], int(index[0]), CycInt(s.p, value[0]))
+    return functions_of(s.p, s.n, exponents)[0]
 
 
 def spectra_verdicts(stack: np.ndarray, p: int, n: int) -> list[MvFunction | NotBentSpectrum]:
-    """Per row of a (B, p^n, d) coefficient stack: the function it recovers, or
-    the NotBentSpectrum that spectrum_is_bent would raise for it (returned, not raised).
+    """Per row of a (B, p^n, d) coefficient stack: the function it recovers, or the NotBentSpectrum
+    that spectrum_is_bent would raise for it, returned; verdict_arrays with the row objects built."""
+    stage, index, value, exponents = verdict_arrays(stack, p, n)
+    functions = iter(functions_of(p, n, exponents[stage == 0]))
+    return [NotBentSpectrum(NotBentSpectrum.STAGES[s - 1], w, CycInt(p, v)) if s else next(functions)
+            for s, w, v in zip(stage.tolist(), index.tolist(), value.tolist())]
+
+
+def verdict_arrays(stack: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """spectra_verdicts as arrays: stage (B,), 0 for a bent row and i for one failing
+    NotBentSpectrum.STAGES[i - 1]; that row's first bad index (B,) and entry value (B, d),
+    and a bent row's function values exponents (B, p^n); zero where they do not apply.
 
     Each stage runs once on the rows still standing: the flatness mask, the
     size guard (when any row is flat), one inverse transform, the exact
@@ -110,34 +121,33 @@ def spectra_verdicts(stack: np.ndarray, p: int, n: int) -> list[MvFunction | Not
     index and that entry's value at the stage, as spectrum_is_bent reports them.
     """
     _check_coefficients(stack, (len(stack), p**n, degree(p)))
-    verdicts: list = [None] * len(stack)
-    rows = np.arange(len(stack))
-    keep = _drop_failures(verdicts, rows, ~flat_mask(stack, p, n), stack, "not-flat", p)
-    rows, stack = rows[keep], stack[keep]
+    stage, index = np.zeros((2, len(stack)), dtype=np.int64)
+    value = np.zeros((len(stack), degree(p)), dtype=object if stack.dtype == object else np.int64)
+    exponents = np.zeros((len(stack), p**n), dtype=np.int64)
+
+    def drop(rows: np.ndarray, bad: np.ndarray, values: np.ndarray, code: int):
+        """Record rows with a True entry in bad as failing stage code; the rows that pass and their mask."""
+        if not bad.any():
+            return rows, slice(None)
+        failed = bad.any(axis=-1)
+        first = bad.argmax(axis=-1)[failed]
+        stage[rows[failed]], index[rows[failed]] = code, first
+        value[rows[failed]] = values[failed, first]
+        return rows[~failed], ~failed
+
+    rows, keep = drop(np.arange(len(stack)), ~flat_mask(stack, p, n), stack, 1)
     if not rows.size:
-        return verdicts
+        return stage, index, value, exponents
     _guard(p, n)
-    images = transform(stack, p, n, conjugate=False)
+    images = transform(stack[keep], p, n, conjugate=False)
+    if images.dtype == object:
+        value = value.astype(object)
     quotient = images // p**n
-    keep = _drop_failures(verdicts, rows, (quotient * p**n != images).any(axis=-1), images, "not-divisible", p)
-    rows, signs = rows[keep], quotient[keep]
-    sign, exponents, ok = _unit_roots(signs, p, 1)
-    keep = _drop_failures(verdicts, rows, ~ok | (sign != 1), signs, "not-a-sign", p)
-    for r, g in zip(rows[keep].tolist(), functions_of(p, n, exponents[keep])):
-        verdicts[r] = g
-    return verdicts
-
-
-def _drop_failures(verdicts: list, rows: np.ndarray, bad: np.ndarray, values: np.ndarray, stage: str, p: int):
-    """Record a NotBentSpectrum for each row of bad with a True entry; index the rows that pass."""
-    failed = bad.any(axis=-1)
-    if not failed.any():
-        return slice(None)
-    first = bad.argmax(axis=-1)
-    for i in np.flatnonzero(failed).tolist():
-        w = int(first[i])
-        verdicts[rows[i]] = NotBentSpectrum(stage, w, CycInt(p, values[i, w]))
-    return ~failed
+    rows, keep = drop(rows, _any_coefficient(quotient * p**n != images), images, 2)
+    sign, found, ok = _unit_roots(quotient[keep], p, 1)
+    rows, keep = drop(rows, ~ok | (sign != 1), quotient[keep], 3)
+    exponents[rows] = found[keep]
+    return stage, index, value, exponents
 
 
 def strict_exponents(s: Spectrum) -> tuple[int, ...]:

@@ -311,8 +311,16 @@ def _unit_roots(array: np.ndarray, p: int, scale: int) -> tuple[np.ndarray, np.n
     CycInt.as_root_scalar, +ξ^k wins where both signs fit (even p)."""
     unit = np.minimum(np.maximum(array // scale, -1), 1)
     found = _unit_codes(p)[(unit @ _TERNARY[: _DEGREE[p]]).astype(np.intp, copy=False)]
-    ok = (found[..., 0] != 0) & (unit * scale == array).all(axis=-1)
+    ok = (found[..., 0] != 0) & ~_any_coefficient(unit * scale != array)
     return found[..., 0], found[..., 1], ok
+
+
+def _any_coefficient(mask: np.ndarray) -> np.ndarray:
+    """mask.any(axis=-1) over a short coefficient axis by d - 1 plane-wise |, not a per-entry reduce."""
+    out = mask[..., 0]
+    for j in range(1, mask.shape[-1]):
+        out = out | mask[..., j]
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,9 @@ M[i, j] = ⟨i·j⟩, the tensor-sum spectrum law S_{f1⊞f2} = S_{f1} ⊗ S_{f2
 and a survey of block-diagonal permutations (flatness-preserving but not
 bentness-preserving).
 
-Class expansion and the survey stack the permuted seed spectra with
-genperm.apply_stack and decide each stack in one bentlab.spectra_verdicts call.
+Class expansion and the survey apply a cached genperm.PermStack to the seed
+spectra, decide the images in one bentlab.verdict_arrays call and count and
+deduplicate on integer row codes; only returned rows become MvFunctions.
 """
 
 from __future__ import annotations
@@ -22,17 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bentlab import NotBentSpectrum, circular_spectrum, is_bent, spectra_verdicts, strict_exponent_rows
+from .bentlab import NotBentSpectrum, _strict_decode, circular_spectrum, is_bent, spectra_verdicts
+from .bentlab import strict_exponent_rows, verdict_arrays
 from .cyclotomic import root_table
-from .genperm import GAMMA_NAMES, GenPerm, apply, apply_stack, block_diag, gamma, kron
-from .mvfunction import (
-    GF3Polynomial,
-    MvFunction,
-    functions_of,
-    scalar_product,
-    tensor_sum,
-    vec_columns,
-)
+from .genperm import GAMMA_NAMES, GenPerm, PermStack, apply, apply_stack, block_diag, gamma, kron
+from .mvfunction import GF3Polynomial, MvFunction, functions_of, tensor_sum, vec_columns
 from .vctransform import SizeLimitExceeded, Spectrum, _guard, flat_mask, spectrum_kron, transform
 
 
@@ -84,17 +79,18 @@ class CatalogEntry(NamedTuple):
 
 def kron_perm_catalog() -> list[CatalogEntry]:
     """The 35 straight α⊗β, α, β ∈ Γ, in (α, β) lexicographic catalog order."""
-    return list(_kron_catalog())
+    return list(_kron_catalog()[0])
 
 
 @lru_cache(maxsize=None)
-def _kron_catalog() -> tuple[CatalogEntry, ...]:
-    return tuple(
-        CatalogEntry(alpha, beta, kron(gamma(alpha), gamma(beta)))
-        for alpha in GAMMA_NAMES
-        for beta in GAMMA_NAMES
-        if (alpha, beta) != ("I", "I")
-    )
+def _kron_catalog() -> tuple[tuple[CatalogEntry, ...], PermStack]:
+    pairs = [(alpha, beta) for alpha in GAMMA_NAMES for beta in GAMMA_NAMES if (alpha, beta) != ("I", "I")]
+    entries = tuple(CatalogEntry(alpha, beta, kron(gamma(alpha), gamma(beta))) for alpha, beta in pairs)
+    return entries, PermStack.of([entry.perm for entry in entries])
+
+
+# a (..., 9) ternary value row @ _PLACES is its row code, which sorts as the value rows do
+_PLACES = 3 ** np.arange(8, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -149,44 +145,64 @@ def generate_class(seed: MvFunction, class_id: int | None = None) -> ClassRecord
     seed itself is always reproduced by some catalog member and is listed
     first (labelled I⊗I), the remaining rows sorted by value vector.
     """
-    verdict = is_bent(seed)
-    if not verdict.is_bent:
-        raise DegenerateSeed(f"seed {seed.digit_string()} is not bent")
-    if not verdict.is_strict_bent:
-        raise DegenerateSeed(f"seed {seed.digit_string()} is bent but not strict")
-    catalog = kron_perm_catalog()
-    stack = apply_stack([entry.perm for entry in catalog], circular_spectrum(seed))
-    verdicts = spectra_verdicts(stack, seed.p, seed.n)
-    exponents = strict_exponent_rows(stack, seed.p, seed.n).tolist()
-    found: dict[MvFunction, tuple[str, str, tuple[int, ...]]] = {}
-    for entry, g, exps in zip(catalog, verdicts, exponents):
-        if isinstance(g, NotBentSpectrum):  # impossible for a bent seed
-            raise DegenerateSeed(f"catalog permutation {entry.alpha}⊗{entry.beta} broke bentness: {g}") from g
-        found.setdefault(g, (entry.alpha, entry.beta, tuple(exps)))
-    if len(found) != 18 or seed not in found:
-        raise DegenerateSeed(
-            f"seed {seed.digit_string()} produced {len(found)} distinct functions, expected 18"
-        )
-    # the row that recovers the seed holds the seed's own spectrum
-    rows = [ClassRow(1, seed, "I", "I", found[seed][2])]
-    others = sorted((g for g in found if g != seed), key=lambda g: g.values)
-    for i, g in enumerate(others, start=2):
-        alpha, beta, exps = found[g]
-        rows.append(ClassRow(i, g, alpha, beta, exps))
+    images, values, first = _expand([seed])
+    entries, picked = _kron_catalog()[0], first[0].tolist()
+    exponents = strict_exponent_rows(images[0, picked], seed.p, seed.n).tolist()
+    functions = [seed] + functions_of(seed.p, seed.n, values[0, picked[1:]])
+    labels = [("I", "I")] + [(entries[r].alpha, entries[r].beta) for r in picked[1:]]
+    rows = [ClassRow(i + 1, g, *labels[i], tuple(exponents[i])) for i, g in enumerate(functions)]
     return ClassRecord(class_id, seed, tuple(rows))
+
+
+def _expand(seeds: list[MvFunction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seeds' (S, 35, 9, d) catalog images, decided on arrays, the (S, 35, 9) values they recover, and
+    per seed the 18 catalog rows first recovering each primitive, its own first, the rest by value vector.
+    DegenerateSeed names the first seed that is not bent, not strict, or not one of 18 primitives."""
+    p, n = seeds[0].p, seeds[0].n
+    _guard(p, n)
+    spectra = transform(root_table(p)[np.array([seed.values for seed in seeds])], p, n, conjugate=True)
+    bad = np.flatnonzero((_strict_decode(spectra, p, n)[1] != 1).any(axis=-1))
+    if bad.size:
+        kind = "bent but not strict" if flat_mask(spectra[bad[0]], p, n).all() else "not bent"
+        raise DegenerateSeed(f"seed {seeds[bad[0]].digit_string()} is {kind}")
+    entries, catalog = _kron_catalog()
+    images = catalog.apply(spectra, p)
+    stacked = images.reshape(-1, *images.shape[2:])
+    stage, _, _, values = verdict_arrays(stacked, p, n)
+    if stage.any():  # impossible for a bent seed
+        r = int(stage.argmax())
+        g, entry = spectra_verdicts(stacked[r:r + 1], p, n)[0], entries[r % len(entries)]
+        raise DegenerateSeed(f"catalog permutation {entry.alpha}⊗{entry.beta} broke bentness: {g}") from g
+    values = values.reshape(len(seeds), len(entries), -1)
+    first = []
+    for seed, codes in zip(seeds, values @ _PLACES):
+        found, at = np.unique(codes, return_index=True)
+        own = found == np.array(seed.values) @ _PLACES
+        if len(found) != 18 or not own.any():
+            raise DegenerateSeed(
+                f"seed {seed.digit_string()} produced {len(found)} distinct functions, expected 18"
+            )
+        first.append(np.concatenate([at[own], at[~own]]))
+    return images, values, np.array(first)
+
+
+def _rotations(primitives: np.ndarray, seeds: list[MvFunction]) -> np.ndarray:
+    """The (S, 3k, 9) value rows of each seed's (S, k, 9) primitives plus 0, 1 and 2 mod 3;
+    DegenerateSeed names the first seed whose rows are not 54 distinct functions."""
+    classes = ((primitives[:, None] + np.arange(3)[:, None, None]) % 3).reshape(len(primitives), -1, 9)
+    short = (np.diff(np.sort(classes @ _PLACES, axis=1), axis=1) != 0).sum(axis=1) + 1 != 54
+    if short.any():
+        raise DegenerateSeed(f"class of {seeds[short.argmax()].digit_string()} is not 54 functions")
+    return classes
 
 
 def expand_rotations(record: ClassRecord) -> list[MvFunction]:
     """The 18 primitives plus each shifted by 1 and by 2: the full class of 54."""
-    base = np.array([row.g.values for row in record.rows])
-    out = functions_of(3, 2, ((base + np.arange(3)[:, None, None]) % 3).reshape(-1, 9))
-    if len(set(out)) != 54:
-        raise DegenerateSeed(f"class of {record.seed.digit_string()} is not 54 functions")
-    return out
+    return functions_of(3, 2, _rotations(np.array([[row.g.values for row in record.rows]]), [record.seed])[0])
 
 
 def generate_all() -> set[MvFunction]:
-    """Union of the nine expanded seed classes.
+    """Union of the nine expanded seed classes, from one stack of 9×35 images.
 
     Four seed pairs — (2,4), (3,7), (5,9), (6,8) — turn out to expand to
     identical 54-sets (class 4's primitives are class 2's shifted by 1,
@@ -194,11 +210,11 @@ def generate_all() -> set[MvFunction]:
     the full 486 found by exhaustive scan.  tests/test_acceptance.py
     carries the completeness criterion and documents the gap.
     """
-    result: set[MvFunction] = set()
-    for seed in REFERENCE_SEEDS:
-        record = generate_class(reference_seed(seed.class_id), seed.class_id)
-        result.update(expand_rotations(record))
-    return result
+    seeds = [reference_seed(seed.class_id) for seed in REFERENCE_SEEDS]
+    _, values, first = _expand(seeds)
+    classes = _rotations(np.take_along_axis(values, first[..., None], axis=1), seeds).reshape(-1, 9)
+    _, at = np.unique(classes @ _PLACES, return_index=True)
+    return set(functions_of(3, 2, classes[at]))
 
 
 # -- Maiorana construction -----------------------------------------------------
@@ -217,8 +233,8 @@ def maiorana(spec: MaioranaSpec) -> MvFunction:
 
 
 def _maiorana_checked(specs: list[MaioranaSpec]) -> list[MvFunction]:
-    """maiorana() of each spec (one m for all), checked bent by one transform and one flatness mask."""
-    rows = []
+    """maiorana() of each spec (one m for all), checked bent by one transform and one flatness mask;
+    every value row is read from one ⟨i·j⟩ mod 3 table."""
     for m, q, v in ((spec.m, spec.q, spec.v) for spec in specs):
         side = q.size
         if m < 0:
@@ -230,14 +246,12 @@ def _maiorana_checked(specs: list[MaioranaSpec]) -> list[MvFunction]:
             raise ValueError("Maiorana permutation must be straight (all scalars 1)")
         if v.p != 3 or v.n != m:
             raise ValueError(f"shift function must be ternary on {m} variables")
-        inv_col = sorted(range(side), key=q.cols.__getitem__)  # the row holding each column
-        matrix = [
-            [(scalar_product(i, inv_col[j], 3, m) + v.values[j]) % 3 for j in range(side)]
-            for i in range(side)
-        ]
-        rows.append(vec_columns(matrix))
-    n = 2 * specs[0].m
-    values = np.array(rows)
+    side, n = specs[0].q.size, 2 * specs[0].m
+    digits = np.arange(side)[:, None] // 3 ** np.arange(specs[0].m) % 3
+    inverse = np.argsort(np.array([spec.q.cols for spec in specs]), axis=1)  # the row holding each column
+    shifts = np.array([spec.v.values for spec in specs])[..., None]
+    matrices = ((digits @ digits.T)[inverse] + shifts).swapaxes(1, 2) % 3  # [s, i, j]: ⟨i·inverse[j]⟩ + v[j]
+    values = matrices.reshape(len(specs), -1)[:, vec_columns(np.arange(side**2).reshape(side, side))]
     functions = functions_of(3, n, values)
     _guard(3, n)
     signs = root_table(3)[values]
@@ -313,25 +327,19 @@ def blockdiag_survey(seed: MvFunction) -> BlockdiagSurvey:
     if seed.p != 3 or seed.n != 2:
         raise ValueError("survey is defined for two-place ternary functions")
     names, perms = _blockdiag_catalog()
-    verdicts = spectra_verdicts(apply_stack(perms, circular_spectrum(seed)), 3, 2)
-    report = BlockdiagSurvey(seed=seed, total=len(verdicts))
-    seen: set[MvFunction] = set()
-    for triple, g in zip(names, verdicts):
-        if isinstance(g, NotBentSpectrum):
-            report.flat_not_bent += 1
-            if report.first_not_bent is None:
-                report.first_not_bent = (triple, g.stage)
-            continue
-        report.bent += 1
-        seen.add(g)
-        if report.first_bent is None:
-            report.first_bent = (triple, g)
-    report.distinct_bent = len(seen)
+    stage, _, _, values = verdict_arrays(apply_stack(perms, circular_spectrum(seed)), 3, 2)
+    bent, failed = np.flatnonzero(stage == 0), np.flatnonzero(stage)
+    distinct = len(set((values[bent] @ _PLACES).tolist()))  # no np.unique: its plain form imports numpy.ma
+    report = BlockdiagSurvey(seed, len(stage), len(bent), len(failed), distinct)
+    if bent.size:
+        report.first_bent = (names[bent[0]], functions_of(3, 2, values[bent[:1]])[0])
+    if failed.size:
+        report.first_not_bent = (names[failed[0]], NotBentSpectrum.STAGES[stage[failed[0]] - 1])
     return report
 
 
 @lru_cache(maxsize=None)
-def _blockdiag_catalog() -> tuple[tuple[tuple[str, str, str], ...], tuple[GenPerm, ...]]:
+def _blockdiag_catalog() -> tuple[tuple[tuple[str, str, str], ...], PermStack]:
     """The 216 blockdiag(a, b, c), a, b, c ∈ Γ, in lexicographic order, with their names."""
     names = tuple(product(GAMMA_NAMES, repeat=3))
-    return names, tuple(block_diag([gamma(name) for name in triple]) for triple in names)
+    return names, PermStack.of([block_diag([gamma(name) for name in triple]) for triple in names])

@@ -2,8 +2,9 @@
 
 A generalized permutation has exactly one nonzero entry per row and column,
 each of the form ±ξ^k; it is stored as int tuples of columns, signs and
-exponents and applied by one gather and rotation of a coefficient array
-(apply_stack, whose one-row case is GenPerm.apply).  The module provides
+exponents.  A PermStack holds B of them as arrays, and apply_stack applies
+it by one gather and one batched matmul (GenPerm.apply is its one-row
+case).  The module provides
 
   * one table of eight EA(1,3) atoms (a, t, m), row r holding ξ^(m·r) at column
     a·r + t: Γ = {I, P01, P12, N, X, XT}, and Z = diag(1, ξ, ξ²) and Z*,
@@ -27,13 +28,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import (
-    CycInt, RadixMismatch, RootScalar, _check_coefficients, _check_radix, _cyc_list, _frozen,
-    _rows_array, _unit_roots, degree, root_table,
+    CycInt, RadixMismatch, RootScalar, _any_coefficient, _check_coefficients, _check_radix, _cyc_list,
+    _frozen, _rows_array, _unit_roots, degree, root_table,
 )
 from .mvfunction import _length_to_n
 from .vctransform import (
-    Spectrum, _as_array, _guard, _maxabs, _product_table, divide_exact, kernel_dtype, mul_array,
-    transform,
+    Spectrum, _as_array, _guard, _maxabs, divide_exact, kernel_dtype, mul_array, transform,
 )
 
 
@@ -323,29 +323,56 @@ def apply(m, vec):
     return m.apply(vec)
 
 
-def apply_stack(perms: Sequence[GenPerm], vec) -> np.ndarray:
-    """The (B, size, d) coefficients of perm.apply(vec) for each of B perms.
-
-    One gather of vec's coefficients over the (B, size) column array, then
-    one entrywise ring product by the rotations sign·ξ^k, folded as in
-    mul_array, so any scalars are exact.  Rotation coefficients are -1, 0 or
-    1, so d²·maxabs of the gathered array alone picks int64 or Python ints."""
+def apply_stack(perms: Sequence[GenPerm] | PermStack, vec) -> np.ndarray:
+    """The (B, size, d) coefficients of perm.apply(vec) for each of B perms, given as
+    GenPerms or as a PermStack built once by PermStack.of."""
     p, _, array = _as_array(vec)
-    for perm in perms:
-        if perm.p != p:
-            raise RadixMismatch(f"radix mismatch: {perm.p} vs {p}")
-        if perm.size != len(array):
-            raise ValueError(f"size mismatch: {perm.size} vs {len(array)}")
-    shape = (len(perms), len(array))
-    cols = np.array([perm.cols for perm in perms], dtype=np.intp).reshape(shape)
-    signs = np.array([perm.signs for perm in perms], dtype=np.int64).reshape(*shape, 1)
-    exponents = np.array([perm.exponents for perm in perms], dtype=np.intp).reshape(shape)
-    rotations = signs * root_table(p)[exponents]
-    gathered, d = array[cols], degree(p)
-    if gathered.dtype != object:
-        gathered = gathered.astype(kernel_dtype(d * d * _maxabs(gathered)), copy=False)
-    outer = rotations[..., :, None] * gathered[..., None, :]
-    return outer.reshape(*shape, d * d) @ _product_table(p)
+    return (perms if isinstance(perms, PermStack) else PermStack.of(perms, p, len(array))).apply(array, p)
+
+
+class PermStack:
+    """B generalized permutations of one size as arrays: read-only (B, size) cols and
+    (B, size, d, d) rotations, rotations[b, x] = sign·(multiplication by ξ^k) for the
+    entry sign·ξ^k of row x; its column j holds the coefficients of ξ^(k+j)."""
+
+    __slots__ = ("p", "cols", "rotations")
+
+    @classmethod
+    def of(cls, perms: Sequence[GenPerm], p: int | None = None, size: int | None = None) -> "PermStack":
+        """The stack of perms, each checked to have radix p and size size, by default the first one's."""
+        if not perms and p is None:
+            raise ValueError("no permutations")
+        p, size = (perms[0].p, perms[0].size) if p is None else (p, size)
+        for perm in perms:
+            if perm.p != p:
+                raise RadixMismatch(f"radix mismatch: {perm.p} vs {p}")
+            if perm.size != size:
+                raise ValueError(f"size mismatch: {perm.size} vs {size}")
+        rows = np.array([(perm.cols, perm.signs, perm.exponents) for perm in perms], dtype=np.intp)
+        rows = rows.reshape(len(perms), 3, size)
+        return cls(p, rows[:, 0], rows[:, 1, :, None, None] * _rotation_table(p)[rows[:, 2]])
+
+    def __init__(self, p: int, cols: np.ndarray, rotations: np.ndarray):  # arrays in this form, made read-only
+        self.p, self.cols, self.rotations = p, _frozen(cols), _frozen(rotations)
+
+    def apply(self, array: np.ndarray, p: int) -> np.ndarray:
+        """The (..., B, size, d) images of a (..., size, d) coefficient array over radix p: one
+        gather by cols and one batched matmul by rotations.  Rotation entries are -1, 0 or 1,
+        so no value exceeds d·maxabs of the input; d²·maxabs, the bound of the entrywise ring
+        product, picks int64 or Python ints."""
+        if p != self.p:
+            raise RadixMismatch(f"radix mismatch: {self.p} vs {p}")
+        if array.shape[-2] != self.cols.shape[1]:
+            raise ValueError(f"size mismatch: {self.cols.shape[1]} vs {array.shape[-2]}")
+        if array.dtype != object:
+            array = array.astype(kernel_dtype(degree(p) ** 2 * _maxabs(array)), copy=False)
+        return (self.rotations @ array[..., self.cols, :, None])[..., 0]
+
+
+@lru_cache(maxsize=None)
+def _rotation_table(p: int) -> np.ndarray:
+    """Entry k is the (d, d) matrix of multiplication by ξ^k: column j holds the coefficients of ξ^(k+j)."""
+    return _frozen(root_table(p)[(np.arange(p)[:, None] + np.arange(degree(p))) % p].swapaxes(1, 2))
 
 
 # -- conjugation ---------------------------------------------------------------
@@ -369,7 +396,7 @@ def conjugate_by_c(m) -> "GenPerm | DenseCycMatrix":
 
 def _downcast(dense: DenseCycMatrix) -> "GenPerm | DenseCycMatrix":
     """dense as a GenPerm when it has one ±ξ^k per row and column and nothing else."""
-    nonzero = (dense.num != 0).any(axis=-1)
+    nonzero = _any_coefficient(dense.num != 0)
     if dense.denom != 1 or (nonzero.sum(axis=0) != 1).any() or (nonzero.sum(axis=1) != 1).any():
         return dense
     cols = nonzero.argmax(axis=1)

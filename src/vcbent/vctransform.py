@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .cyclotomic import (
-    CycInt, CycVector, NotDivisible, _check_length, _frozen, degree, root_table,
+    CycInt, CycVector, NotDivisible, _any_coefficient, _check_length, _frozen, degree, root_table,
 )
 from .mvfunction import _length_to_n, digits_of
 
@@ -107,7 +107,7 @@ def inverse(vec) -> CycVector:
 def divide_exact(array: np.ndarray, scale: int, p: int) -> np.ndarray:
     """array / scale for a (..., d) array; NotDivisible names the first inexact entry."""
     quotient = array // scale  # floor division: quotient·scale equals array only where it divides
-    bad = np.flatnonzero((quotient * scale != array).any(axis=-1))
+    bad = np.flatnonzero(_any_coefficient(quotient * scale != array))
     if bad.size:
         i = int(bad[0])
         value = CycInt(p, array.reshape(-1, array.shape[-1])[i])
@@ -217,7 +217,7 @@ def abs_squared(array: np.ndarray, p: int) -> np.ndarray:
 def flat_mask(array: np.ndarray, p: int, n: int) -> np.ndarray:
     """|S(w)|² = p^n, per entry of a (..., p^n, d) spectrum array."""
     squared = abs_squared(array, p)
-    return (squared[..., 0] == p**n) & (squared[..., 1:] == 0).all(axis=-1)
+    return (squared[..., 0] == p**n) & ~_any_coefficient(squared[..., 1:] != 0)
 
 
 # -- spectrum file format ------------------------------------------------------

@@ -151,3 +151,14 @@ def test_verify_appendix_is_repeatable_and_caches_only_classes_1_to_9(rows):
         with pytest.raises(ValueError, match=f"no reference class {class_id}"):
             verify_appendix([replace(row, class_id=class_id) for row in rows[:3]])
     assert appendix._class_members.cache_info().currsize == 9
+
+
+def test_packaged_rows_are_parsed_once_and_returned_as_a_fresh_list(tmp_path):
+    path = tmp_path / "fixture.tsv"
+    path.write_text(appendix.fixture_text())
+    first = load_appendix_rows()
+    first.clear()
+    assert load_appendix_rows() == load_appendix_rows(path) == parse_fixture_lines(appendix.fixture_text().splitlines())
+    assert load_appendix_rows() is not load_appendix_rows()
+    assert all(a is b for a, b in zip(load_appendix_rows(), load_appendix_rows()))
+    assert appendix._packaged_rows.cache_info().currsize == 1

@@ -375,3 +375,22 @@ def test_strict_exponents_and_messages_equal_the_entrywise_decode(s):
         assert err.value.witness == (w, s[w])
     else:
         assert strict_exponents(s) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(candidate_stacks())
+def test_verdict_arrays_equal_spectra_verdicts_row_by_row(case):
+    from vcbent.bentlab import verdict_arrays
+
+    p, n, stack = case
+    stage, index, value, values = verdict_arrays(stack, p, n)
+    assert stage.shape == index.shape == (len(stack),)
+    assert value.shape == (len(stack), degree(p)) and values.shape == (len(stack), p**n)
+    for verdict, s, w, v, row in zip(spectra_verdicts(stack, p, n), stage, index, value, values):
+        if isinstance(verdict, MvFunction):
+            assert (s, w, v.tolist()) == (0, 0, [0] * degree(p))
+            assert tuple(row.tolist()) == verdict.values
+        else:
+            assert NotBentSpectrum.STAGES[s - 1] == verdict.stage
+            assert (w, CycInt(p, v)) == verdict.witness
+            assert not row.any()

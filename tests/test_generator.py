@@ -339,3 +339,29 @@ def test_maiorana_checks_keep_refusing_a_non_bent_construction(monkeypatch):
         maiorana_enumerate(1)
     with pytest.raises(AssertionError, match="non-bent"):
         maiorana(MaioranaSpec(1, gamma("I"), MvFunction(3, 1, (0, 0, 0))))
+
+
+def test_class_path_builds_no_per_row_objects_once_warm(monkeypatch):
+    # with the catalogs and label stacks cached, the class path decides on arrays
+    # and builds no NotBentSpectrum, runs no scalar_product and stacks no GenPerm
+    from vcbent import appendix, mvfunction
+    from vcbent.genperm import PermStack
+
+    def run():
+        return (
+            [blockdiag_survey(reference_seed(cid)) for cid in range(1, 10)],
+            generate_all(),
+            maiorana_enumerate(),
+            appendix.verify_appendix(),
+        )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-row path on the class path")
+
+    want = run()
+    monkeypatch.setattr(NotBentSpectrum, "__init__", refuse)
+    monkeypatch.setattr(mvfunction, "scalar_product", refuse)
+    monkeypatch.setattr(generator, "scalar_product", refuse, raising=False)
+    monkeypatch.setattr(PermStack, "of", classmethod(refuse))
+    assert run() == want
+    assert all(report.first_not_bent is not None for report in want[0])

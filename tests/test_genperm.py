@@ -578,3 +578,20 @@ def test_hot_paths_read_no_root_scalar(monkeypatch):
     want = run_hot_paths()
     monkeypatch.setattr(GenPerm, "scalars", property(refuse))
     assert run_hot_paths() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_stacks())
+def test_apply_stack_on_a_perm_stack_equals_apply_per_permutation(case):
+    # the coefficient bound 2^70 of the strategy puts entries above 2^62 on Python ints
+    from vcbent.genperm import PermStack
+
+    perms, s = case
+    stack = PermStack.of(perms)
+    assert stack.cols.shape == (len(perms), len(s)) and not stack.cols.flags.writeable
+    assert stack.rotations.shape == (len(perms), len(s), degree(s.p), degree(s.p))
+    got = apply_stack(stack, s)
+    big = s.array.dtype == object or int(np.abs(s.array).max()) * degree(s.p) ** 2 >= INT64_BOUND
+    assert got.dtype == (object if big else np.int64)
+    for perm, row in zip(perms, got):
+        assert Spectrum.from_array(s.p, s.n, row) == perm.apply(s)
