@@ -185,7 +185,7 @@ class DenseCycMatrix:
     @property
     def rows(self) -> tuple[tuple[CycInt, ...], ...]:
         if self._rows is None:
-            self._rows = tuple(tuple(_cyc_list(self.p, row)) for row in self.num)
+            self._rows = tuple(zip(*[iter(_cyc_list(self.p, self.num))] * self.size))  # each size cells, a row
         return self._rows
 
     def apply(self, vec):
@@ -358,14 +358,14 @@ class PermStack:
     def apply(self, array: np.ndarray, p: int) -> np.ndarray:
         """The (..., B, size, d) images of a (..., size, d) coefficient array over radix p: one
         gather by cols and one batched matmul by rotations.  Rotation entries are -1, 0 or 1,
-        so no value exceeds d·maxabs of the input; d²·maxabs, the bound of the entrywise ring
-        product, picks int64 or Python ints."""
+        so no image coefficient, a sum of d terms, exceeds d·maxabs of the input, and that
+        bound picks int64 or Python ints."""
         if p != self.p:
             raise RadixMismatch(f"radix mismatch: {self.p} vs {p}")
         if array.shape[-2] != self.cols.shape[1]:
             raise ValueError(f"size mismatch: {self.cols.shape[1]} vs {array.shape[-2]}")
         if array.dtype != object:
-            array = array.astype(kernel_dtype(degree(p) ** 2 * _maxabs(array)), copy=False)
+            array = array.astype(kernel_dtype(degree(p) * _maxabs(array)), copy=False)
         return (self.rotations @ array[..., self.cols, :, None])[..., 0]
 
 

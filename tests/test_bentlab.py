@@ -19,12 +19,13 @@ from vcbent.bentlab import (
     spectrum_is_bent,
     strict_exponent_rows,
     strict_exponents,
+    verdict_arrays,
 )
 from vcbent.cyclotomic import CycInt, NotAUnitRoot, NotDivisible, RootScalar, degree, xi
 from vcbent.genperm import apply, block_diag, gamma, kron
 from vcbent.mvfunction import MvFunction, NotASign, scalar_product, sign_of, tensor_sum, try_from_sign
 from vcbent.oracle import all_bent
-from vcbent.vctransform import SizeLimitExceeded, Spectrum, forward, inverse, is_flat
+from vcbent.vctransform import SizeLimitExceeded, Spectrum, flat_mask, forward, inverse, is_flat
 
 X1X2 = MvFunction.from_digits(3, 2, "000012021")
 W = xi(3)
@@ -394,3 +395,20 @@ def test_verdict_arrays_equal_spectra_verdicts_row_by_row(case):
             assert NotBentSpectrum.STAGES[s - 1] == verdict.stage
             assert (w, CycInt(p, v)) == verdict.witness
             assert not row.any()
+
+
+def test_p5_entry_with_constant_term_p_but_a_non_rational_norm_is_not_flat():
+    # at p = 5, |S|² lies in Z[(1+√5)/2]: (-2, -2, -1, -2) has |S|² = 5 + 2ξ² + 2ξ³, constant term 5^1
+    entry = CycInt(5, (-2, -2, -1, -2))
+    assert entry.abs_squared() == CycInt(5, (5, 0, 2, 2))
+    bent = circular_spectrum(MvFunction(5, 1, [x * x % 5 for x in range(5)]))
+    assert is_flat(bent)
+    for w in range(5):
+        array = bent.array.copy()
+        array[w] = entry.coeffs
+        assert flat_mask(array, 5, 1).tolist() == [x != w for x in range(5)]
+        assert not is_flat(Spectrum.from_array(5, 1, array))
+        stage, index, value, _ = verdict_arrays(array[None], 5, 1)
+        assert (stage.tolist(), index.tolist(), value.tolist()) == ([1], [w], [list(entry.coeffs)])
+        with pytest.raises(NotBentSpectrum, match=rf"^not-flat at index {w}: -2-2x-1x\^2-2x\^3$"):
+            spectrum_is_bent(Spectrum.from_array(5, 1, array))

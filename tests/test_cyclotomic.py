@@ -1,10 +1,14 @@
 import cmath
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcbent.cyclotomic import (
+    _cyc_list,
     _unit_roots,
     CycInt,
     CycVector,
@@ -261,3 +265,28 @@ def test_root_scalar_keeps_one_form_per_unit():
             assert (minus.sign, minus.exponent) == (-1, k) and minus.to_cyc() == -xi(p, k)
             assert all(minus != RootScalar(p, 1, j) for j in range(p))
             assert GenPerm(p, [0], [minus]).scalars == (minus,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cyc_list_builds_one_shared_entry_per_distinct_row_on_both_dtypes(data):
+    p = data.draw(st.sampled_from(SUPPORTED_RADICES), label="p")
+    shape = tuple(data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=2), label="shape"))
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=math.prod(shape) * degree(p),
+                                max_size=math.prod(shape) * degree(p)), label="coeffs")
+    array = np.array(coeffs, dtype=np.int64).reshape(*shape, degree(p))
+    if data.draw(st.booleans(), label="above 2^62"):
+        array = array.astype(object) * 2**63 + 1
+    out = _cyc_list(p, array)
+    assert out == [CycInt(p, row) for row in array.reshape(-1, degree(p))]
+    assert all(type(e.coeffs) is tuple and all(type(c) is int for c in e.coeffs) for e in out)
+    assert len({id(e) for e in out}) == len(set(out))  # equal rows are one object
+
+
+def test_cyc_vector_entries_share_one_object_per_distinct_value():
+    array = np.array([[1, 0], [0, 1], [1, 0], [0, 0], [0, 1], [1, 0], [0, 0], [0, 0], [1, 0]])
+    v = CycVector.from_array(3, 2, array)
+    assert v.entries[0] is v.entries[2] is v.entries[8] and v.entries[3] is v.entries[7]
+    assert all(a is b for a, b in zip(v, v.entries))
+    assert len({id(e) for e in v}) == 3
+    assert repr(v) == repr(CycVector(3, 2, [CycInt(3, row) for row in array]))

@@ -451,9 +451,9 @@ def test_vectors_that_mix_radices_raise_radix_mismatch():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_apply_stack_picks_its_kernel_from_the_gathered_bound(p):
-    # rotations are -1, 0 or 1, so d²·maxabs of the vector alone decides int64 against Python ints
+    # rotations are -1, 0 or 1, so d·maxabs of the vector alone decides int64 against Python ints
     d = degree(p)
-    edge = INT64_BOUND // d**2
+    edge = INT64_BOUND // d
     perms = [GenPerm(p, [(x + 1) % p for x in range(p)], [RootScalar(p, -1, x) for x in range(p)])]
     for top, dtype in ((edge - 1, np.int64), (edge, object)):
         array = np.full((p, d), -1, dtype=np.int64)
@@ -591,7 +591,20 @@ def test_apply_stack_on_a_perm_stack_equals_apply_per_permutation(case):
     assert stack.cols.shape == (len(perms), len(s)) and not stack.cols.flags.writeable
     assert stack.rotations.shape == (len(perms), len(s), degree(s.p), degree(s.p))
     got = apply_stack(stack, s)
-    big = s.array.dtype == object or int(np.abs(s.array).max()) * degree(s.p) ** 2 >= INT64_BOUND
+    big = s.array.dtype == object or int(np.abs(s.array).max()) * degree(s.p) >= INT64_BOUND
     assert got.dtype == (object if big else np.int64)
     for perm, row in zip(perms, got):
         assert Spectrum.from_array(s.p, s.n, row) == perm.apply(s)
+
+
+def test_list_outputs_and_dense_rows_share_one_object_per_distinct_entry():
+    perm = kron(gamma("N"), scale(gamma("X"), RootScalar(3, -1, 1)))
+    for m, n in ((perm, 2), (kron(perm, perm), 4)):
+        vec = [xi(3, k % 2) if k % 5 else ZERO for k in range(3**n)]
+        want = [t.apply(vec[c]) for c, t in zip(m.cols, m.scalars)]
+        for out in (m.apply(vec), m.to_dense().apply(vec)):
+            assert type(out) is list and out == want
+            assert len({id(e) for e in out}) == len(set(out)) < len(out)  # equal entries are one object
+    rows = identity(3, 3).to_dense().rows
+    assert rows == ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
+    assert rows[0][1] is rows[1][0] is rows[2][0] and rows[0][0] is rows[1][1] is rows[2][2]

@@ -1,7 +1,9 @@
 import gc
+import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from vcbent.vctransform import (
     _product_table,
     _stage_matrix,
     Spectrum,
+    abs_squared,
     divide_exact,
     format_spectrum_lines,
     forward,
@@ -187,6 +190,19 @@ def test_int64_bound_edge_selects_kernel_and_stays_exact(data):
     assert [CycInt(p, r) for r in out] == list(forward([CycInt(p, r) for r in rows]).entries)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_abs_squared_int64_edge_selects_kernel_and_stays_exact(p):
+    # d² products of two coefficients, each at most maxabs: d²·maxabs² decides int64 against Python ints
+    d = degree(p)
+    edge = math.isqrt((INT64_BOUND - 1) // d**2)  # the largest maxabs kept on int64
+    for maxabs, kernel in ((edge, np.int64), (edge + 1, object), (2**40, object)):
+        assert kernel_dtype(d * d * maxabs**2) is kernel
+        rows = [[s * maxabs for s in signs] for signs in itertools.product((-1, 0, 1), repeat=d)]
+        out = abs_squared(np.array(rows, dtype=np.int64), p)
+        assert out.dtype == kernel
+        assert [CycInt(p, r) for r in out] == [CycInt(p, r).abs_squared() for r in rows]
+
+
 def test_spectrum_from_array_validates_shape_and_dtype():
     with pytest.raises(ValueError):
         Spectrum.from_array(3, 2, np.zeros((8, 2), dtype=np.int64))
@@ -232,6 +248,21 @@ def test_is_flat():
     table3 = [3 * w, 3 * w * w, CycInt.from_int(3, 3), 3 * w * w, CycInt.from_int(3, 3),
               3 * w, CycInt.from_int(3, 3), 3 * w, 3 * w * w]
     assert is_flat(table3)
+
+
+def test_round_trip_entries_at_3_to_the_10_keep_one_object_per_distinct_value():
+    rng = random.Random(10)
+    f = MvFunction(3, 10, [rng.randrange(3) for _ in range(3**10)])
+    back = inverse(forward_fast(sign_of(f)))
+    tracemalloc.start()
+    try:
+        entries = back.entries
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert entries == sign_of(f).entries and len({id(e) for e in entries}) == 3
+    # the tuple of 3^10 references takes 0.47 MB; a CycInt and a tuple per entry would add 6 MB
+    assert kept < 2**20
 
 
 def test_constant_shift_rotates_spectrum():
