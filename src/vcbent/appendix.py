@@ -28,7 +28,7 @@ from .cyclotomic import root_table
 from .generator import generate_class, reference_seed
 from .genperm import GAMMA_NAMES, PermStack, apply_stack, conjugate_by_c, gamma, kron
 from .mvfunction import MvFunction, sign_of
-from .vctransform import transform
+from .vctransform import sign_transform
 
 FIXTURE_RESOURCE = "appendix_classes.tsv"
 
@@ -120,14 +120,15 @@ def verify_appendix(rows: list[AppendixRow] | None = None) -> list[RowCheck]:
         labels = np.array([position[row.alpha, row.beta] for row in rows], dtype=np.intp)
     except KeyError as unknown:  # the first row with a label outside Γ; gamma's ValueError names it
         gamma(unknown.args[0][0]), gamma(unknown.args[0][1])
-    signs = root_table(3)[np.array([row.g.values for row in rows], dtype=np.intp)]
+    values = np.array([row.g.values for row in rows], dtype=np.intp)
+    signs = root_table(3)[values]
     exponents = np.array([row.exponents for row in rows], dtype=np.intp)
     checks: list = [None] * len(rows)
     for class_id in dict.fromkeys(row.class_id for row in rows):
         indices = [i for i, row in enumerate(rows) if row.class_id == class_id]
         seed, members = reference_seed(class_id), _class_members(class_id)
         permuted = apply_stack(perms, circular_spectrum(seed))[labels[indices]]
-        t, strict = _strict_decode(np.stack([transform(signs[indices], 3, 2, conjugate=True), permuted]), 3, 2)
+        t, strict = _strict_decode(np.stack([sign_transform(values[indices], 3, 2), permuted]), 3, 2)
         spectrum_ok, permutation_ok = ((strict == 1) & (t == exponents[indices])).all(axis=-1).tolist()
         sign_ok = (apply_stack(ws, sign_of(seed))[labels[indices]] == signs[indices]).all(axis=(1, 2))
         for i, spectrum, permutation, sign in zip(indices, spectrum_ok, permutation_ok, sign_ok.tolist()):

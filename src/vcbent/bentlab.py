@@ -13,6 +13,9 @@ is its one-row case.
 Strict bentness additionally asks S(w) = p^(n/2)·ξ^t(w) for every w; the
 exponent function t is the dual.  is_bent, strict_exponent_rows and the
 appendix replay read t from one array decode of p^(n/2)·(±ξ^t), _strict_decode.
+is_bent decides in the order: size guard, S(0) = Σ_k N_k·ξ^k from the counts N
+of f's values (most non-bent f stop here, with the witness (0, S(0)) the full
+path gives), the transform, the strict decode, then flat_mask if it must.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycInt, _any_coefficient, _check_coefficients, _unit_roots, degree
+from .cyclotomic import CycInt, _any_coefficient, _check_coefficients, _unit_roots, degree, root_table
 from .mvfunction import MvFunction, add_constant, functions_of, sign_of
-from .vctransform import Spectrum, _guard, flat_mask, forward_fast, transform
+from .vctransform import Spectrum, _guard, flat_mask, forward_fast, sign_transform, transform
 
 
 class NotStrict(ValueError):
@@ -85,12 +88,19 @@ def circular_spectrum(f: MvFunction) -> Spectrum:
 
 
 def is_bent(f: MvFunction) -> BentVerdict:
-    """Flat/bent/strict classification with the first flatness witness."""
-    s = circular_spectrum(f)
-    bad = np.flatnonzero(~flat_mask(s.array, f.p, f.n))
-    if bad.size:
-        return BentVerdict(False, False, False, failure_witness=(int(bad[0]), CycInt(f.p, s.array[bad[0]])))
-    return BentVerdict(True, True, bool((_strict_decode(s.array, f.p, f.n)[1] == 1).all()))
+    """Flat/bent/strict classification with the first flatness witness, in the order above; an
+    entry p^(n/2)·(±ξ^k) is flat, so flat_mask runs only when some entry is not one."""
+    _guard(f.p, f.n)
+    p, n, values = f.p, f.n, np.frombuffer(bytes(f.values), np.uint8)  # each below p
+    s0 = CycInt(p, np.bincount(values, minlength=p) @ root_table(p))
+    if s0.abs_squared() != p**n:
+        return BentVerdict(False, False, False, failure_witness=(0, s0))
+    s = sign_transform(values, p, n)
+    signs = _strict_decode(s, p, n)[1]
+    bad = () if signs.all() else np.flatnonzero(~flat_mask(s, p, n))
+    if len(bad):
+        return BentVerdict(False, False, False, failure_witness=(int(bad[0]), CycInt(p, s[bad[0]])))
+    return BentVerdict(True, True, bool((signs == 1).all()))
 
 
 def spectrum_is_bent(s: Spectrum) -> MvFunction:

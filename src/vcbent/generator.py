@@ -25,10 +25,9 @@ import numpy as np
 
 from .bentlab import NotBentSpectrum, _strict_decode, circular_spectrum, is_bent, spectra_verdicts
 from .bentlab import strict_exponent_rows, verdict_arrays
-from .cyclotomic import root_table
 from .genperm import GAMMA_NAMES, GenPerm, PermStack, apply, apply_stack, block_diag, gamma, kron
 from .mvfunction import GF3Polynomial, MvFunction, functions_of, tensor_sum, vec_columns
-from .vctransform import SizeLimitExceeded, Spectrum, _guard, flat_mask, spectrum_kron, transform
+from .vctransform import SizeLimitExceeded, Spectrum, _guard, flat_mask, sign_transform, spectrum_kron
 
 
 class DegenerateSeed(ValueError):
@@ -160,7 +159,7 @@ def _expand(seeds: list[MvFunction]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     DegenerateSeed names the first seed that is not bent, not strict, or not one of 18 primitives."""
     p, n = seeds[0].p, seeds[0].n
     _guard(p, n)
-    spectra = transform(root_table(p)[np.array([seed.values for seed in seeds])], p, n, conjugate=True)
+    spectra = sign_transform(np.array([seed.values for seed in seeds]), p, n)
     bad = np.flatnonzero((_strict_decode(spectra, p, n)[1] != 1).any(axis=-1))
     if bad.size:
         kind = "bent but not strict" if flat_mask(spectra[bad[0]], p, n).all() else "not bent"
@@ -254,8 +253,7 @@ def _maiorana_checked(specs: list[MaioranaSpec]) -> list[MvFunction]:
     values = matrices.reshape(len(specs), -1)[:, vec_columns(np.arange(side**2).reshape(side, side))]
     functions = functions_of(3, n, values)
     _guard(3, n)
-    signs = root_table(3)[values]
-    if not flat_mask(transform(signs, 3, n, conjugate=True), 3, n).all():
+    if not flat_mask(sign_transform(values, 3, n), 3, n).all():
         raise AssertionError("Maiorana construction produced a non-bent function")
     return functions
 

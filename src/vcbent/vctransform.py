@@ -9,10 +9,12 @@ instead of rounded.  forward_fast() returns a Spectrum, inverse() a CycVector.
 Every spectrum goes through transform(), on (..., p^n, d) integer arrays of
 power-basis coefficients: Good's factorization of C(n) into n batched
 (p·d)×(p·d) integer matmuls, none copying its input, for O(n·p^n)
-multiply-adds.  mul_array() is the ring product on the same arrays, forward()
-the dense O(p^2n) reference.  The stage matrix and product tables are
-cyclotomic.root_table() gathered at an exponent grid.  All run on int64 while
-coefficient growth provably fits, on Python ints otherwise.
+multiply-adds; sign_transform() runs its stages on a sign row ξ^f given by f,
+with the first stage one gather from an int8 (p, d, p^p) table (162 B, 2,048 B,
+62,500 B and 559,872 B for p = 3..6).  mul_array() is the ring product on the
+same arrays, forward() the dense O(p^2n) reference.  The stage matrix and product
+tables are cyclotomic.root_table() gathered at an exponent grid.  All run on int64
+while coefficient growth provably fits, on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .cyclotomic import (
     CycInt, CycVector, NotDivisible, _any_coefficient, _check_length, _frozen, degree, root_table,
 )
-from .mvfunction import _length_to_n, digits_of
+from .mvfunction import SignVector, _length_to_n, digits_of
 
 DEFAULT_SIZE_LIMIT = 3**10
 
@@ -94,6 +96,10 @@ def forward(vec) -> Spectrum:
 
 def forward_fast(vec) -> Spectrum:
     """The forward transform through the staged engine; identical output to forward()."""
+    if isinstance(vec, SignVector):  # from its exponents (each below p), with no coefficient array
+        _guard(vec.p, vec.n)
+        exponents = np.frombuffer(bytes(vec.exponents()), np.uint8)
+        return Spectrum.from_array(vec.p, vec.n, sign_transform(exponents, vec.p, vec.n))
     p, n, array = _as_array(vec, True)
     return Spectrum.from_array(p, n, transform(array, p, n, conjugate=True))
 
@@ -172,6 +178,31 @@ def transform(array: np.ndarray, p: int, n: int, conjugate: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _sign_table(p: int) -> np.ndarray:
+    """Entry [w, c, Σ_i e_i·p^i] (each e_i < p): coefficient c of Σ_i ξ^(e_i - i·w), at most p in size."""
+    w, i, e = np.ogrid[:p, :p, :p]
+    roots = root_table(p).astype(np.int8)[(e - i * w) % p].transpose(1, 0, 3, 2)  # [i, w, c, e_i]
+    table = np.zeros((p, degree(p)) + (p,) * p, dtype=np.int8)
+    for k in range(p):  # adds e_k's term (e_k of place value p^k) in place: no temporary of the table's size
+        table += roots[k].reshape((p, degree(p)) + (1,) * (p - 1 - k) + (p,) + (1,) * k)
+    return _frozen(table.reshape(p, degree(p), -1))
+
+
+def sign_transform(exponents: np.ndarray, p: int, n: int) -> np.ndarray:
+    """transform(root_table(p)[exponents], p, n, conjugate=True) for a (..., p^n) array in 0..p-1: the stage
+    over x1 gathers _sign_table at each block's code Σ_i e_i·p^i (e_i at x1 = i), then transform's other
+    n - 1 run.  Values are at most p·(2p)^(n-1), which picks the dtype without reading the input."""
+    if not n:
+        return root_table(p)[exponents]
+    d, codes = degree(p), p ** np.arange(p) @ exponents.reshape(-1, p, p ** (n - 1))
+    out = _sign_table(p).reshape(p * d, -1).take(codes, axis=1).swapaxes(0, 1)
+    out = out.astype(kernel_dtype(p * (2 * p) ** (n - 1)), order="C")
+    for k in reversed(range(n - 1)):
+        out = _left_stage(p, True) @ out.reshape(-1, d * p, p**k)
+    return out.reshape(*exponents.shape, d)
+
+
+@lru_cache(maxsize=None)
 def _product_table(p: int) -> np.ndarray:
     """Row b·d + k: the coefficients of ξ^(b+k), each -1, 0 or 1."""
     b, k = np.ogrid[: degree(p), : degree(p)]
@@ -224,8 +255,9 @@ def flat_mask(array: np.ndarray, p: int, n: int) -> np.ndarray:
 
 
 def format_spectrum_lines(s: Spectrum) -> list[str]:
-    """Header 'p n' then one CycInt per line."""
-    return [f"{s.p} {s.n}"] + [str(e) for e in s.entries]
+    """Header 'p n' then one CycInt per line, read from the array: each distinct value rendered once."""
+    text, rows = {}, zip(*s.array.T.tolist())
+    return [f"{s.p} {s.n}"] + [text.get(r) or text.setdefault(r, str(CycInt._trusted(s.p, r))) for r in rows]
 
 
 def parse_spectrum_lines(lines: Sequence[str]) -> Spectrum:

@@ -26,6 +26,7 @@ from vcbent.genperm import apply, block_diag, gamma, kron
 from vcbent.mvfunction import MvFunction, NotASign, scalar_product, sign_of, tensor_sum, try_from_sign
 from vcbent.oracle import all_bent
 from vcbent.vctransform import SizeLimitExceeded, Spectrum, flat_mask, forward, inverse, is_flat
+from vcbent.bentlab import BentVerdict, _strict_decode
 
 X1X2 = MvFunction.from_digits(3, 2, "000012021")
 W = xi(3)
@@ -412,3 +413,77 @@ def test_p5_entry_with_constant_term_p_but_a_non_rational_norm_is_not_flat():
         assert (stage.tolist(), index.tolist(), value.tolist()) == ([1], [w], [list(entry.coeffs)])
         with pytest.raises(NotBentSpectrum, match=rf"^not-flat at index {w}: -2-2x-1x\^2-2x\^3$"):
             spectrum_is_bent(Spectrum.from_array(5, 1, array))
+
+
+def reference_verdict(f: MvFunction) -> BentVerdict:
+    """is_bent from the dense spectrum: the first entry that flat_mask refuses, else strict
+    where every entry decodes as p^(n/2)·(+ξ^k)."""
+    s = forward(sign_of(f)).array
+    bad = np.flatnonzero(~flat_mask(s, f.p, f.n))
+    if bad.size:
+        return BentVerdict(False, False, False, (int(bad[0]), CycInt(f.p, s[bad[0]])))
+    return BentVerdict(True, True, bool((_strict_decode(s, f.p, f.n)[1] == 1).all()))
+
+
+def every_function(p: int, n: int) -> list[MvFunction]:
+    return [MvFunction(p, n, np.unravel_index(code, (p,) * p**n)) for code in range(p ** p**n)]
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_is_bent_equals_the_dense_reference_on_every_one_place_function(p):
+    verdicts = [(is_bent(f), reference_verdict(f)) for f in every_function(p, 1)]
+    assert all(got == want for got, want in verdicts)
+    assert sum(got.is_bent for got, _ in verdicts) == len(all_bent(p, 1))
+    assert not any(got.is_strict_bent for got, _ in verdicts)  # n = 1 is odd
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (4, 2), (6, 2)])
+def test_is_bent_equals_the_dense_reference_on_seeded_samples(p, n):
+    rng = random.Random(2800 + 10 * p + n)
+    functions = [random_values(rng, p, n) for _ in range(30)]
+    functions += [f for f in (random_bent(rng, p, n) for _ in range(10)) if f is not None]
+    for f in functions:
+        assert is_bent(f) == reference_verdict(f)
+    assert any(is_bent(f).is_bent for f in functions) or p == 6
+
+
+def test_is_bent_equals_the_dense_reference_on_every_two_place_bent_function(oracle_set):
+    # every entry decodes as 3·(±ξ^k); the 162 with some -3·ξ^k are bent and not strict
+    functions = sorted(oracle_set)
+    verdicts = [is_bent(f) for f in functions]
+    assert verdicts == [reference_verdict(f) for f in functions]
+    signs = [_strict_decode(forward(sign_of(f)).array, 3, 2)[1] for f in functions]
+    assert all(v.is_bent and v.is_strict_bent == (s == 1).all() and s.all() for v, s in zip(verdicts, signs))
+    assert sum(not v.is_strict_bent for v in verdicts) == 162
+
+
+def test_a_flat_s0_does_not_stop_the_verdict_at_w_0():
+    # search for non-bent f with |S(0)|² = p^n: the witness is the first non-flat w, which is > 0
+    rng = random.Random(2807)
+    found = 0
+    for p, n in ((3, 2), (3, 3), (5, 2)):
+        for _ in range(400):
+            f = random_values(rng, p, n)
+            s0 = sum((xi(p, v) for v in f.values), CycInt.zero(p))
+            if s0.abs_squared() == p**n and not reference_verdict(f).is_bent:
+                verdict = is_bent(f)
+                assert verdict == reference_verdict(f) and verdict.failure_witness[0] > 0
+                found += 1
+                break
+    assert found == 3
+
+
+def test_an_odd_n_bent_function_is_never_strict():
+    rng = random.Random(2808)
+    for p, n in ((3, 1), (3, 3), (5, 1), (5, 3)):
+        f = random_bent(rng, p, n)
+        verdict = is_bent(f)
+        assert verdict == reference_verdict(f) == BentVerdict(True, True, False)
+
+
+def test_is_bent_refutes_at_w_0_with_the_witness_of_the_full_path():
+    for p, n in ((3, 2), (4, 3), (5, 2), (6, 2)):
+        f = MvFunction(p, n, [x % 2 for x in range(p**n)])  # counts p^n/2 apart: |S(0)|² is far from p^n
+        verdict = is_bent(f)
+        want = sum((xi(p, v) for v in f.values), CycInt.zero(p))
+        assert verdict == reference_verdict(f) == BentVerdict(False, False, False, (0, want))

@@ -34,6 +34,9 @@ from vcbent.vctransform import (
     transform,
 )
 
+from vcbent.mvfunction import SignVector
+from vcbent.vctransform import _sign_table, sign_transform
+
 from reference import build_c
 
 X1X2 = MvFunction.from_digits(3, 2, "000012021")
@@ -564,3 +567,80 @@ def test_exact_division_floors_negative_values_on_every_path(dtype):
         inverse(Spectrum.from_array(3, 1, flat))
     assert (err.value.index, err.value.value) == verdicts[0].witness
     assert verdicts[1] == MvFunction.from_digits(3, 1, "022") and verdicts[2].stage == "not-a-sign"
+
+
+SIGN_SIZES = [(p, n) for p in SUPPORTED_RADICES for n in (0, 1, 2, 3) if p**n <= 216]
+
+
+@pytest.mark.parametrize("p,n", SIGN_SIZES)
+def test_sign_transform_equals_transform_of_roots_and_dense_forward(p, n):
+    rng = np.random.default_rng(2800 + 10 * p + n)
+    for dtype in (np.uint8, np.int64):
+        stack = rng.integers(0, p, size=(7, p**n)).astype(dtype)
+        for exponents in (stack[0], stack):
+            out = sign_transform(exponents, p, n)
+            want = transform(root_table(p)[exponents], p, n, conjugate=True)
+            assert out.shape == want.shape == (*exponents.shape, degree(p))
+            assert out.dtype == want.dtype == np.int64 and np.array_equal(out, want)
+            assert n == 0 or int(np.abs(out).max()) <= p * (2 * p) ** (n - 1)  # the bound that picks int64
+        for row, spectrum in zip(stack, sign_transform(stack, p, n)):
+            assert np.array_equal(spectrum, forward(sign_of(MvFunction(p, n, row.tolist()))).array)
+
+
+@pytest.mark.parametrize("p,n", SIGN_SIZES)
+def test_forward_fast_of_a_sign_vector_is_one_spectrum_however_the_vector_was_built(p, n):
+    f = MvFunction(p, n, [(3 * x * x + x + 1) % p for x in range(p**n)])
+    built = [sign_of(f), SignVector(p, n, sign_of(f).entries), SignVector.from_array(p, n, sign_of(f).array)]
+    want = forward_fast(CycVector.from_array(p, n, sign_of(f).array))  # the coefficient-array path
+    assert want == forward(sign_of(f))
+    for sign in built:
+        s = forward_fast(sign)
+        assert type(s) is Spectrum and s == want and s.array.dtype == want.array.dtype
+        assert (s.p, s.n) == (p, n) and not s.array.flags.writeable
+
+
+def test_forward_fast_of_a_sign_vector_builds_no_coefficient_array():
+    sign = sign_of(MvFunction(3, 4, [x % 3 for x in range(81)]))
+    forward_fast(sign)
+    assert sign._array is None and sign._entries is None
+
+
+@pytest.mark.parametrize("p,nbytes", [(3, 162), (4, 2048), (5, 62500), (6, 559872)])
+def test_sign_table_is_int8_p_by_d_by_p_to_the_p(p, nbytes):
+    table, d, roots = _sign_table(p), degree(p), root_table(p)
+    assert table.shape == (p, d, p**p) and table.dtype == np.int8 and table.nbytes == nbytes
+    assert not table.flags.writeable and int(np.abs(table).max()) <= p
+    rng = random.Random(p)
+    for code in rng.sample(range(p**p), min(p**p, 300)):
+        e = [code // p**i % p for i in range(p)]
+        for w in range(p):
+            want = sum(roots[(e[i] - i * w) % p] for i in range(p))
+            assert table[w, :, code].tolist() == want.tolist()
+
+
+def test_sign_table_build_peaks_below_twice_its_size():
+    _sign_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = _sign_table(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 559872 and peak < 2 * table.nbytes
+
+
+def test_format_spectrum_lines_renders_each_distinct_value_once(monkeypatch):
+    rng = random.Random(2806)
+    s = forward_fast(rand_sign(rng, 3, 6))
+    per_entry = [f"{s.p} {s.n}"] + [str(CycInt(3, row)) for row in s.array.tolist()]
+    distinct = len({tuple(row) for row in s.array.tolist()})
+    calls = []
+    render = CycInt.__str__
+    monkeypatch.setattr(CycInt, "__str__", lambda self: calls.append(self) or render(self))
+    lines = format_spectrum_lines(s)
+    monkeypatch.undo()
+    assert lines == per_entry
+    assert len(calls) <= distinct < len(s)
+    for p, n in ((5, 2), (4, 3)):  # and on a dtype=object spectrum
+        s = Spectrum.from_array(p, n, forward_fast(rand_sign(rng, p, n)).array.astype(object) * 2**62)
+        assert format_spectrum_lines(s) == [f"{p} {n}"] + [str(e) for e in s.entries]
