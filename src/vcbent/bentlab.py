@@ -8,11 +8,12 @@ vector, and spectrum_is_bent() reports the first stage that fails.
 verdict_arrays() decides a whole (B, p^n, d) stack of candidate spectra
 with one pass of each stage on the engine's batch axis and returns the verdicts
 as arrays; spectra_verdicts() builds their row objects, and spectrum_is_bent()
-is its one-row case.
+is its one-row case, after it refutes a non-flat S(0) with no array pass.
 
 Strict bentness additionally asks S(w) = p^(n/2)·ξ^t(w) for every w; the
 exponent function t is the dual.  is_bent, strict_exponent_rows and the
-appendix replay read t from one array decode of p^(n/2)·(±ξ^t), _strict_decode.
+appendix replay read t from one array decode of p^(n/2)·(±ξ^t), _strict_decode;
+strict_exponents first refuses an S(0) with a coefficient not 0 or ±p^(n/2).
 is_bent decides in the order: size guard, S(0) = Σ_k N_k·ξ^k from the counts N
 of f's values (most non-bent f stop here, with the witness (0, S(0)) the full
 path gives), the transform, the strict decode, then flat_mask if it must.
@@ -104,7 +105,11 @@ def is_bent(f: MvFunction) -> BentVerdict:
 
 
 def spectrum_is_bent(s: Spectrum) -> MvFunction:
-    """Recover g with spectrum s, or raise NotBentSpectrum at the first bad stage."""
+    """Recover g with spectrum s, or raise NotBentSpectrum at the first bad stage.  A non-flat
+    S(0) is refuted before verdict_arrays, with the stage, witness and message it would give."""
+    s0 = CycInt(s.p, s.array[0])
+    if s0.abs_squared() != s.p**s.n:
+        raise NotBentSpectrum("not-flat", 0, s0)
     stage, index, value, exponents = verdict_arrays(s.array[None], s.p, s.n)
     if stage[0]:
         raise NotBentSpectrum(NotBentSpectrum.STAGES[stage[0] - 1], int(index[0]), CycInt(s.p, value[0]))
@@ -161,7 +166,12 @@ def verdict_arrays(stack: np.ndarray, p: int, n: int) -> tuple[np.ndarray, np.nd
 
 
 def strict_exponents(s: Spectrum) -> tuple[int, ...]:
-    """t with S(w) = p^(n/2)·ξ^t(w) for all w; NotStrict otherwise."""
+    """t with S(w) = p^(n/2)·ξ^t(w) for all w; NotStrict otherwise.  At even n, an S(0) with a
+    coefficient other than 0 or ±p^(n/2) is refused before the decode, as the decode refuses it."""
+    scale = s.p ** (s.n // 2)
+    if s.n % 2 == 0 and not set(s.array[0].tolist()) <= {-scale, 0, scale}:
+        e = CycInt(s.p, s.array[0])
+        raise NotStrict(f"entry 0 = {e} is not {scale}·ξ^k", (0, e))
     return tuple(strict_exponent_rows(s.array[None], s.p, s.n)[0].tolist())
 
 

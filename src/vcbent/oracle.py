@@ -2,9 +2,10 @@
 
 all_bent() decides every value vector exactly by joining two tables of
 half-spectra, not by a transform per candidate: w = 0 for every candidate
-at once, then the survivors of each block one w at a time, skipping blocks
-with none.  It shares nothing with the constructive generator, so set
-equality between the two certifies both.
+at once, then the survivors of each block of 2^15 candidates one w at a
+time, skipping blocks with none.  Half values get ids by direct address,
+with no sort, and only A×B pairs are flat-tested.  It shares nothing with
+the constructive generator, so set equality between the two certifies both.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .vctransform import flat_mask, transform
 # p^(p^n) candidate functions must stay enumerable at desk scale
 SCAN_GUARD = 2**20
 
-# candidate pairs per join step; keeps the scan's arrays under 1 MB
-JOIN_BLOCK = 4096
+# candidates per join block: a block's survivor index arrays stay at or below 256 KB each
+JOIN_BLOCK = 2**15
 
 
 class ScanTooLarge(ValueError):
@@ -38,11 +39,13 @@ def all_bent(p: int = 3, n: int = 2) -> set[MvFunction]:
 
     A is the first ⌊p^n/2⌋ points and B the rest.  Each assignment of A (zeros
     on B) and of B (zeros on A) is transformed once, so candidate a·p^|B| + b,
-    codes_a[a] ‖ codes_b[b], has spectrum T_A[a] + T_B[b].  flat_mask's exact
-    |u + v|² = p^n runs once per pair of distinct half values, keyed by their
-    coefficients (each within ±p^n) in base 2p^n + 1.  Candidates are looked
-    up on w = 0 all at once, then JOIN_BLOCK at a time the survivors are
-    filtered one w after another; a block with no w = 0 survivor is skipped.
+    codes_a[a] ‖ codes_b[b], has spectrum T_A[a] + T_B[b].  A half value is keyed by
+    its coefficients (each within ±p^n) in base 2p^n + 1; each half marks its keys in
+    (2p^n + 1)^d presence slots, numbers the marked ones in order in a rank table and
+    decodes its values from the digits.  flat_mask's exact |u + v|² = p^n runs once
+    per A value u and B value v.  Candidates are looked up on w = 0 all at once, then
+    JOIN_BLOCK at a time the survivors are filtered one w after another; a block
+    with no w = 0 survivor is skipped.
     """
     if n < 0:
         raise ValueError("variable count must be >= 0")
@@ -59,15 +62,22 @@ def all_bent(p: int = 3, n: int = 2) -> set[MvFunction]:
     coeffs = np.zeros((len(codes_a) + len(codes_b), size, d), dtype=np.int64)
     coeffs[: len(codes_a), :half] = root_table(p)[codes_a]
     coeffs[len(codes_a) :, half:] = root_table(p)[codes_b]
-    tables = transform(coeffs, p, n, conjugate=True).reshape(-1, d)
-    keys = (tables + size) @ (2 * size + 1) ** np.arange(d)
-    _, index, ids = np.unique(keys, return_index=True, return_inverse=True)
-    values = tables[index]
-    flat = flat_mask(values[:, None] + values, p, n)
-    ids_a, ids_b = np.split(ids.reshape(-1, size), [len(codes_a)])
+    base = 2 * size + 1
+    digits = base ** np.arange(d)
+    keys = ((transform(coeffs, p, n, conjugate=True) + size) @ digits).reshape(-1, size)
+    present = np.zeros((2, base**d), dtype=bool)  # at most 2 × 14,641 slots under SCAN_GUARD
+    rank = np.empty(base**d, dtype=np.intp)  # each half writes it at its own keys before reading them
+    ids_and_values = []
+    for row, half_keys in zip(present, np.split(keys, [len(codes_a)])):
+        row[half_keys] = True
+        slots = np.flatnonzero(row)
+        rank[slots] = np.arange(len(slots))
+        ids_and_values.append((rank[half_keys], slots[:, None] // digits % base - size))
+    (ids_a, values_a), (ids_b, values_b) = ids_and_values
+    flat = flat_mask(values_a[:, None] + values_b, p, n)
     at_zero = flat[ids_a[:, 0]][:, ids_b[:, 0]].reshape(-1)  # one bool per candidate
-    # pair (u, v) of distinct half values sits at u·len(values) + v of the flat table
-    pair_a, pair_b, pairs = (ids_a * len(values)).T, ids_b.T, flat.reshape(-1)
+    # the pair (u, v) of an A value and a B value sits at u·len(values_b) + v of the flat table
+    pair_a, pair_b, pairs = (ids_a * len(values_b)).T, ids_b.T, flat.reshape(-1)
     rows = [np.empty((0, size), dtype=codes_a.dtype)]
     for start in range(0, total, JOIN_BLOCK):
         hits = np.flatnonzero(at_zero[start : start + JOIN_BLOCK])

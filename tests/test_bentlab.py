@@ -27,6 +27,8 @@ from vcbent.mvfunction import MvFunction, NotASign, scalar_product, sign_of, ten
 from vcbent.oracle import all_bent
 from vcbent.vctransform import SizeLimitExceeded, Spectrum, flat_mask, forward, inverse, is_flat
 from vcbent.bentlab import BentVerdict, _strict_decode
+from vcbent import bentlab
+from vcbent.genperm import GenPerm
 
 X1X2 = MvFunction.from_digits(3, 2, "000012021")
 W = xi(3)
@@ -487,3 +489,89 @@ def test_is_bent_refutes_at_w_0_with_the_witness_of_the_full_path():
         verdict = is_bent(f)
         want = sum((xi(p, v) for v in f.values), CycInt.zero(p))
         assert verdict == reference_verdict(f) == BentVerdict(False, False, False, (0, want))
+
+
+# -- the w = 0 exits of the one-spectrum entry points ---------------------------
+
+W0_SIZES = [(3, 2), (4, 2), (5, 2), (6, 2), (5, 1)]
+
+
+def w0_spectra(rng: random.Random, p: int, n: int) -> list[Spectrum]:
+    """Spectra around the w = 0 exits: a bent one and its negation, a constant function's, random
+    functions' (most refuted at w = 0), one whose S(0) is flat but a later entry is not (found by
+    search), and at even n a strict S(0) followed by a −ξ^k entry (a diag permutation of the bent one)."""
+    bent = circular_spectrum(random_bent(rng, p, n))
+    spectra = [bent, Spectrum.from_array(p, n, -bent.array), circular_spectrum(MvFunction.constant(p, 1, n))]
+    spectra += [circular_spectrum(random_values(rng, p, n)) for _ in range(6)]
+    while True:
+        s = circular_spectrum(random_values(rng, p, n))
+        flat = flat_mask(s.array, p, n)
+        if flat[0] and not flat.all():
+            spectra.append(s)
+            break
+    if n % 2 == 0:
+        w = rng.randrange(1, p**n)
+        spectra.append(apply(GenPerm.from_diag(p, [RootScalar(p, -1 if v == w else 1, 0) for v in range(p**n)]), bent))
+    return spectra + [Spectrum.from_array(p, n, s.array.astype(object)) for s in spectra]
+
+
+def outcome(call, s: Spectrum):
+    """("ok", call(s)), or the class, message, stage and witness of what it raised."""
+    try:
+        return ("ok", call(s))
+    except (NotBentSpectrum, NotStrict) as exc:
+        return (type(exc), str(exc), getattr(exc, "stage", None), exc.witness)
+
+
+def array_path(s: Spectrum) -> tuple:
+    """What verdict_arrays and strict_exponent_rows report for s as a one-row stack."""
+
+    def verdict(s):
+        stage, index, value, exponents = verdict_arrays(s.array[None], s.p, s.n)
+        if stage[0]:
+            raise NotBentSpectrum(NotBentSpectrum.STAGES[stage[0] - 1], int(index[0]), CycInt(s.p, value[0]))
+        return MvFunction(s.p, s.n, exponents[0].tolist())
+
+    def strict(s):
+        return tuple(strict_exponent_rows(s.array[None], s.p, s.n)[0].tolist())
+
+    return outcome(verdict, s), outcome(strict, s)
+
+
+def test_w0_exits_equal_the_array_path():
+    rng = random.Random(2901)
+    stages = set()
+    for p, n in W0_SIZES:
+        for s in w0_spectra(rng, p, n):
+            want = array_path(s)
+            assert (outcome(spectrum_is_bent, s), outcome(strict_exponents, s)) == want
+            verdict, strict = want
+            stages.add("bent" if verdict[0] == "ok" else (verdict[2], verdict[3][0] > 0))
+            if n % 2 == 0 and strict[0] is NotStrict:
+                stages.add(("strict", " is not " in strict[1], strict[3][0] > 0))
+    # not flat at w = 0 and later, not a sign at w = 0; not strict at w = 0, and −ξ^k at w = 0 and later
+    assert {("not-flat", False), ("not-flat", True), ("not-a-sign", False), "bent"} <= stages
+    assert {("strict", True, False), ("strict", False, False), ("strict", False, True)} <= stages
+
+
+def test_w0_exits_refute_before_the_array_path(monkeypatch):
+    rng = random.Random(2902)
+    spectra = [s for p, n in W0_SIZES for s in w0_spectra(rng, p, n)]
+    wants = [array_path(s) for s in spectra]
+
+    def unreachable(*args):
+        raise AssertionError("the array path ran")
+
+    monkeypatch.setattr(bentlab, "verdict_arrays", unreachable)
+    monkeypatch.setattr(bentlab, "strict_exponent_rows", unreachable)
+    exits = [0, 0]
+    for s, (verdict, strict) in zip(spectra, wants):
+        s0 = CycInt(s.p, s.array[0])
+        if s0.abs_squared() != s.p**s.n:
+            assert outcome(spectrum_is_bent, s) == verdict
+            exits[0] += 1
+        scale = s.p ** (s.n // 2)
+        if s.n % 2 == 0 and any(c not in (-scale, 0, scale) for c in s0.coeffs):
+            assert outcome(strict_exponents, s) == strict
+            exits[1] += 1
+    assert min(exits) > 0

@@ -7,8 +7,10 @@ import pytest
 
 from vcbent import oracle
 from vcbent.bentlab import circular_spectrum
+from vcbent.cyclotomic import CycInt, degree
 from vcbent.mvfunction import MvFunction
-from vcbent.oracle import ScanTooLarge, all_bent, all_bent_1place, certify
+from vcbent.oracle import SCAN_GUARD, ScanTooLarge, all_bent, all_bent_1place, certify
+from vcbent.vctransform import flat_mask
 
 SCANS = [(3, 1), (3, 2), (4, 1), (5, 1), (6, 1)]
 
@@ -180,3 +182,53 @@ def test_guard_refuses_before_the_candidate_count_is_formed(n, message):
         tracemalloc.stop()
     assert str(err.value) == f"{message} candidate functions exceed 1048576"
     assert peak < 64 * 1024
+
+
+def test_every_admitted_scan_keys_its_half_values_in_at_most_14641_slots():
+    # (p, n) is admitted while p^(p^n) <= SCAN_GUARD; the presence table has (2p^n + 1)^d slots per half
+    scans = []
+    for p in (3, 4, 5, 6):
+        n = 0
+        while p ** (p**n) <= SCAN_GUARD:
+            scans.append((p, n))
+            n += 1
+        with pytest.raises(ScanTooLarge):
+            all_bent(p, n)
+    assert scans == [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (5, 0), (5, 1), (6, 0), (6, 1)]
+    slots = {(p, n): (2 * p**n + 1) ** degree(p) for p, n in scans}
+    assert all(count <= 14_641 for count in slots.values())
+    assert [slots[pn] for pn in SCANS] == [49, 361, 81, 14_641, 169]
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_zero_place_scans_find_every_constant(p):
+    # one point, S(0) = ξ^c and |S(0)|² = 1 = p^0: each of the p constants is bent
+    assert all_bent(p, 0) == {MvFunction.constant(p, c, 0) for c in range(p)}
+
+
+@pytest.mark.parametrize("p,n,shape", [(3, 2, (15, 21)), (4, 1, (9, 9)), (5, 1, (15, 35)), (6, 1, (37, 37))])
+def test_join_flat_tests_only_pairs_of_an_a_value_and_a_b_value(monkeypatch, p, n, shape):
+    size = p**n
+
+    def dot(w, x):
+        return sum((w // p**k % p) * (x // p**k % p) for k in range(n))
+
+    def distinct_values(points):
+        # Σ_{x in points} ξ^(f(x) − w·x) summed in CycInt for every assignment f of the points and every w
+        return {
+            sum((CycInt.root(p, (v - dot(w, x)) % p) for x, v in zip(points, values)), CycInt.zero(p))
+            for values in product(range(p), repeat=len(points))
+            for w in range(size)
+        }
+
+    assert (len(distinct_values(range(size // 2))), len(distinct_values(range(size // 2, size)))) == shape
+    shapes = []
+    monkeypatch.setattr(oracle, "flat_mask", lambda array, p, n: shapes.append(array.shape) or flat_mask(array, p, n))
+    all_bent(p, n)
+    assert shapes == [(*shape, degree(p))]
+
+
+def test_join_block_holds_a_two_place_ternary_scan_in_one_block():
+    # 2^15 candidates a block: the 3^9 of (3, 2) in one, and a block's int64 survivor indices at most 256 KB
+    assert oracle.JOIN_BLOCK == 2**15
+    assert 3**9 <= oracle.JOIN_BLOCK and oracle.JOIN_BLOCK * np.dtype(np.int64).itemsize == 256 * 1024
