@@ -28,7 +28,7 @@ import numpy as np
 
 from .cyclotomic import CycInt, _any_coefficient, _check_coefficients, _unit_roots, degree, root_table
 from .mvfunction import MvFunction, add_constant, functions_of, sign_of
-from .vctransform import Spectrum, _guard, flat_mask, forward_fast, sign_transform, transform
+from .vctransform import Spectrum, _flat_row, _guard, flat_mask, forward_fast, sign_transform, transform
 
 
 class NotStrict(ValueError):
@@ -93,9 +93,9 @@ def is_bent(f: MvFunction) -> BentVerdict:
     entry p^(n/2)·(±ξ^k) is flat, so flat_mask runs only when some entry is not one."""
     _guard(f.p, f.n)
     p, n, values = f.p, f.n, np.frombuffer(bytes(f.values), np.uint8)  # each below p
-    s0 = CycInt(p, np.bincount(values, minlength=p) @ root_table(p))
-    if s0.abs_squared() != p**n:
-        return BentVerdict(False, False, False, failure_witness=(0, s0))
+    s0 = np.bincount(values, minlength=p) @ root_table(p)
+    if not _flat_row(s0, p, n):
+        return BentVerdict(False, False, False, failure_witness=(0, CycInt(p, s0)))
     s = sign_transform(values, p, n)
     signs = _strict_decode(s, p, n)[1]
     bad = () if signs.all() else np.flatnonzero(~flat_mask(s, p, n))
@@ -107,9 +107,8 @@ def is_bent(f: MvFunction) -> BentVerdict:
 def spectrum_is_bent(s: Spectrum) -> MvFunction:
     """Recover g with spectrum s, or raise NotBentSpectrum at the first bad stage.  A non-flat
     S(0) is refuted before verdict_arrays, with the stage, witness and message it would give."""
-    s0 = CycInt(s.p, s.array[0])
-    if s0.abs_squared() != s.p**s.n:
-        raise NotBentSpectrum("not-flat", 0, s0)
+    if not _flat_row(s.array[0], s.p, s.n):
+        raise NotBentSpectrum("not-flat", 0, CycInt(s.p, s.array[0]))
     stage, index, value, exponents = verdict_arrays(s.array[None], s.p, s.n)
     if stage[0]:
         raise NotBentSpectrum(NotBentSpectrum.STAGES[stage[0] - 1], int(index[0]), CycInt(s.p, value[0]))

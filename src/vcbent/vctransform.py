@@ -7,14 +7,14 @@ check, so a candidate spectrum that is not p^n times anything is rejected
 instead of rounded.  forward_fast() returns a Spectrum, inverse() a CycVector.
 
 Every spectrum goes through transform(), on (..., p^n, d) integer arrays of
-power-basis coefficients: Good's factorization of C(n) into n batched
-(p·d)×(p·d) integer matmuls, none copying its input, for O(n·p^n)
-multiply-adds; sign_transform() runs its stages on a sign row ξ^f given by f,
-with the first stage one gather from an int8 (p, d, p^p) table (162 B, 2,048 B,
-62,500 B and 559,872 B for p = 3..6).  mul_array() is the ring product on the
-same arrays, forward() the dense O(p^2n) reference.  The stage matrix and product
-tables are cyclotomic.root_table() gathered at an exponent grid.  All run on int64
-while coefficient growth provably fits, on Python ints otherwise.
+power-basis coefficients: Good's factorization of C(n) into n (p·d)×(p·d)
+matmul stages, O(n·p^n) multiply-adds; sign_transform() runs them on a sign row
+ξ^f given by f, the first stage one gather from an int8 (p, d, p^p) table.  A
+stage row has L1 norm at most 2p (p rotations of at most two ±1 coefficients),
+so a proven bound caps every partial sum, in any order: the stages run on float64
+(BLAS) below 2^53, where such sums are exact, on int64 below 2^62 and on Python
+ints above, and return int64 or object.  mul_array() is the ring product on the
+same arrays, forward() the dense O(p^2n) reference.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ DEFAULT_SIZE_LIMIT = 3**10
 
 # int64 is used only while every intermediate value stays below this
 INT64_BOUND = 2**62
+FLOAT64_BOUND = 2**53  # the transform stages run on float64 only below this, where every integer is a double
 
 
 class SizeLimitExceeded(ValueError):
@@ -154,27 +155,30 @@ def _stage_matrix(p: int, conjugate: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _left_stage(p: int, conjugate: bool) -> np.ndarray:
+def _left_stage(p: int, conjugate: bool, dtype=np.int64) -> np.ndarray:
     """_stage_matrix acting from the left: row w·d + c, column b·p + i is coefficient c of ξ^(b ∓ i·w)."""
-    d = degree(p)
-    return _frozen(_stage_matrix(p, conjugate).reshape(p, d, p, d).transpose(2, 3, 1, 0).reshape(p * d, -1))
+    stage = _stage_matrix(p, conjugate).reshape(p, degree(p), p, -1).transpose(2, 3, 1, 0)
+    return _frozen(stage.reshape(p * degree(p), -1).astype(dtype))
+
+
+def _stages(out: np.ndarray, p: int, k: int, conjugate: bool, bound: int) -> np.ndarray:
+    """The last k stages on rows of d·p^k values (coefficients, then the k digits left), on the tier of bound."""
+    tier = object if out.dtype == object else np.float64 if k and bound < FLOAT64_BOUND else kernel_dtype(bound)
+    out, left = out.astype(tier, order="C", copy=False), _left_stage(p, conjugate, tier)
+    for j in reversed(range(k)):  # j digits still to transform after this stage; the last is one 2-D product
+        out = left @ out.reshape(-1, degree(p) * p, p**j) if j else out.reshape(-1, p * degree(p)) @ left.T
+    return out.astype(np.int64) if tier is np.float64 else out
 
 
 def transform(array: np.ndarray, p: int, n: int, conjugate: bool) -> np.ndarray:
-    """Σ_x ξ^(∓⟨w·x⟩)·array[..., x, :] for a (..., p^n, d) coefficient array.
+    """Σ_x ξ^(∓⟨w·x⟩)·array[..., x, :] for a (..., p^n, d) coefficient array, int64 or object.
 
-    The coefficient axis moves in front of the digits once; then stage k is one
-    batched matmul by _left_stage that turns the coefficients and digit x_k into
-    w_k and its coefficients in place, so no stage copies its input.  Values grow
-    by at most 2p a stage (p rotations of at most two coefficients each): int64
-    runs while maxabs·(2p)^n < 2^62, dtype=object after; object input stays object.
+    The coefficient axis moves in front of the digits once, in the copy that casts; then stage k turns the
+    coefficients and digit x_k into w_k in place.  A stage row has L1 norm ≤ 2p, so maxabs·(2p)^n caps every
+    partial sum in any order and picks the tier: float64 (exact) below 2^53, int64 below 2^62, object above.
     """
-    if array.dtype != object:
-        array = array.astype(kernel_dtype(_maxabs(array) * (2 * p) ** n), copy=False)
-    out = array.reshape(-1, p**n, degree(p)).swapaxes(1, 2)
-    for k in reversed(range(n)):  # k digits still to transform after this stage
-        out = _left_stage(p, conjugate) @ out.reshape(-1, degree(p) * p, p**k)
-    return out.reshape(array.shape)
+    bound = 0 if array.dtype == object else _maxabs(array) * (2 * p) ** n
+    return _stages(array.reshape(-1, p**n, degree(p)).swapaxes(1, 2), p, n, conjugate, bound).reshape(array.shape)
 
 
 @lru_cache(maxsize=None)
@@ -190,16 +194,13 @@ def _sign_table(p: int) -> np.ndarray:
 
 def sign_transform(exponents: np.ndarray, p: int, n: int) -> np.ndarray:
     """transform(root_table(p)[exponents], p, n, conjugate=True) for a (..., p^n) array in 0..p-1: the stage
-    over x1 gathers _sign_table at each block's code Σ_i e_i·p^i (e_i at x1 = i), then transform's other
-    n - 1 run.  Values are at most p·(2p)^(n-1), which picks the dtype without reading the input."""
+    over x1 gathers _sign_table at each block's code Σ_i e_i·p^i (e_i at x1 = i), then transform's other n - 1
+    run on the tier of their bound p·(2p)^(n-1), as in transform, reading no input; n = 1 runs none, on int64."""
     if not n:
         return root_table(p)[exponents]
-    d, codes = degree(p), p ** np.arange(p) @ exponents.reshape(-1, p, p ** (n - 1))
-    out = _sign_table(p).reshape(p * d, -1).take(codes, axis=1).swapaxes(0, 1)
-    out = out.astype(kernel_dtype(p * (2 * p) ** (n - 1)), order="C")
-    for k in reversed(range(n - 1)):
-        out = _left_stage(p, True) @ out.reshape(-1, d * p, p**k)
-    return out.reshape(*exponents.shape, d)
+    codes = p ** np.arange(p) @ exponents.reshape(-1, p, p ** (n - 1))
+    out = _sign_table(p).reshape(p * degree(p), -1).take(codes, axis=1).swapaxes(0, 1)
+    return _stages(out, p, n - 1, True, p * (2 * p) ** (n - 1)).reshape(*exponents.shape, degree(p))
 
 
 @lru_cache(maxsize=None)
@@ -243,6 +244,21 @@ def abs_squared(array: np.ndarray, p: int) -> np.ndarray:
         array = array.astype(kernel_dtype(d * d * _maxabs(array) ** 2), copy=False)
     outer = array[..., :, None] * array[..., None, :]
     return outer.reshape(*outer.shape[:-2], d * d) @ _abs_table(p)
+
+
+@lru_cache(maxsize=None)
+def _abs_terms(p: int) -> tuple:
+    """(c, r, b, k) per nonzero coefficient r = c of ξ^(b-k), row b·d + k of _abs_table."""
+    rows = enumerate(_abs_table(p).tolist())
+    return tuple((c, r, *divmod(bk, degree(p))) for bk, row in rows for c, r in enumerate(row) if r)
+
+
+def _flat_row(row: np.ndarray, p: int, n: int) -> bool:
+    """flat_mask of one (d,) row in Python ints: its d² products S_b·S_k folded once into the ξ^(b-k)."""
+    coeffs, out = row.tolist(), [-(p**n)] + [0] * (degree(p) - 1)
+    for c, r, b, k in _abs_terms(p):
+        out[c] += r * coeffs[b] * coeffs[k]
+    return not any(out)
 
 
 def flat_mask(array: np.ndarray, p: int, n: int) -> np.ndarray:

@@ -36,6 +36,8 @@ from vcbent.vctransform import (
 
 from vcbent.mvfunction import SignVector
 from vcbent.vctransform import _sign_table, sign_transform
+from vcbent import vctransform
+from vcbent.vctransform import _flat_row, flat_mask
 
 from reference import build_c
 
@@ -204,6 +206,63 @@ def test_abs_squared_int64_edge_selects_kernel_and_stays_exact(p):
         out = abs_squared(np.array(rows, dtype=np.int64), p)
         assert out.dtype == kernel
         assert [CycInt(p, r) for r in out] == [CycInt(p, r).abs_squared() for r in rows]
+
+
+def spy_tiers(monkeypatch) -> list:
+    """The dtype of every stage run from now on, read where the stage loop fetches its matrix."""
+    tiers, stage = [], vctransform._left_stage
+    monkeypatch.setattr(vctransform, "_left_stage", lambda p, c, dtype: tiers.append(dtype) or stage(p, c, dtype))
+    return tiers
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in SUPPORTED_RADICES for n in (1, 2, 3) if p**n <= 64])
+def test_float64_bound_edge_selects_the_tier_and_stays_exact(monkeypatch, p, n):
+    # maxabs·(2p)^n below 2^53 runs the stages on float64 and casts back; at the edge + 1 they run on int64
+    for conjugate in (True, False):  # every stage row has L1 norm at most 2p, so (2p)^n bounds every sum
+        assert int(np.abs(vctransform._left_stage(p, conjugate)).sum(axis=1).max()) <= 2 * p
+    growth, tiers = (2 * p) ** n, spy_tiers(monkeypatch)
+    edge = (2**53 - 1) // growth  # the largest maxabs run on float64, where every integer below 2^53 is exact
+    rng = np.random.default_rng(5300 + 10 * p + n)
+    for conjugate in (True, False):
+        for maxabs, tier in ((edge, np.float64), (edge + 1, np.int64)):
+            rows = rng.integers(-1, 2, size=(p**n, degree(p))) * maxabs
+            rows[0, 0] = maxabs  # one coefficient pinned at +maxabs
+            tiers.clear()
+            out = transform(rows, p, n, conjugate)
+            assert tiers == [tier] and out.dtype == np.int64 and kernel_dtype(maxabs * growth) is np.int64
+            assert [CycInt(p, r) for r in out.tolist()] == dense_transform(p, n, rows.tolist(), conjugate)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_RADICES)
+def test_no_stage_and_no_row_run_no_float64_and_return_int64(monkeypatch, p):
+    d, tiers = degree(p), spy_tiers(monkeypatch)
+    for n in (0, 1, 2):  # B = 0 stacks
+        for conjugate in (True, False):
+            out = transform(np.zeros((0, p**n, d), dtype=np.int64), p, n, conjugate)
+            assert out.shape == (0, p**n, d) and out.dtype == np.int64
+        out = sign_transform(np.zeros((0, p**n), dtype=np.uint8), p, n)
+        assert out.shape == (0, p**n, d) and out.dtype == np.int64
+    tiers.clear()
+    row = np.array([[2**53 + 1] + [-3] * (d - 1)])  # n = 0 is the identity; a float64 run would round 2^53 + 1
+    assert np.array_equal(transform(row, p, 0, True), row) and tiers == [np.int64]
+    exponents = np.arange(p)
+    tiers.clear()
+    assert np.array_equal(sign_transform(exponents[:1], p, 0), root_table(p)[:1]) and tiers == []
+    out = sign_transform(exponents, p, 1)  # one gather, cast to int64 with no stage
+    assert tiers == [np.int64] and out.dtype == np.int64
+    assert np.array_equal(out, forward(sign_of(MvFunction(p, 1, exponents.tolist()))).array)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_RADICES)
+def test_flat_row_equals_flat_mask_on_every_small_row(p):
+    # at p = 5 some |S|² have constant coefficient 5 and others nonzero, so both parts of the test matter
+    rows = np.array(list(itertools.product(range(-9, 10) if degree(p) == 2 else range(-5, 6), repeat=degree(p))))
+    for n in range(5):
+        want = flat_mask(rows, p, n)
+        assert [_flat_row(row, p, n) for row in rows] == want.tolist()
+        assert want.any() or n not in (0, 2)  # every ξ^k and p·ξ^k is flat there
+    big = np.array([[p**40] + [0] * (degree(p) - 1), [p**40, 1] + [0] * (degree(p) - 2)], dtype=object)
+    assert [_flat_row(row, p, 80) for row in big] == [True, False]
 
 
 def test_spectrum_from_array_validates_shape_and_dtype():
